@@ -14,28 +14,23 @@ import sys
 import tempfile
 from pathlib import Path
 from random import Random
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from . import coincidence, compalg, orders, reconstruct, weylchar
 from .cyclotomic import CycloProduct
-from .errors import (
-    CacheInvalid,
-    E8WithoutTable,
-    TypeParseError,
-    WeylOrdersError,
-)
+from .errors import CacheInvalid, TypeParseError, WeylOrdersError
 from .rootsystem import (
+    EXCEPTIONAL,
     SemisimpleType,
     SimpleType,
     parse_type,
     render,
+    simple_types,
     weyl_order,
 )
 from .weylchar import CharPolyTable
 
 CACHE_VERSION = 1
-
-_EXCEPTIONAL_LABELS = ("G2", "F4", "E6", "E7", "E8")
 
 
 # --- cache files ---------------------------------------------------------------
@@ -115,20 +110,18 @@ def cache_load(type_label: str, dir_: os.PathLike) -> Optional[CharPolyTable]:
     return table
 
 
-def _load_exceptional_tables(t: SemisimpleType, cache_dir: Optional[str]) -> None:
+def _load_exceptional_tables(
+    factors: Iterable[SimpleType], cache_dir: Optional[str]
+) -> None:
     """Seed the in-process table registry from the cache, computing and
-    persisting missing enumerable tables."""
-    needed = {f for f in t.factors if (f.letter, f.rank) in
-              {("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)}}
-    for f in sorted(needed):
+    persisting missing ones."""
+    for f in sorted(set(factors) & set(EXCEPTIONAL)):
         label = str(f)
         if cache_dir is not None:
             cached = cache_load(label, cache_dir)
             if cached is not None:
                 weylchar.seed_table(cached)
                 continue
-        if (f.letter, f.rank) == ("E", 8):
-            continue  # never computed here; charpolys will raise E8WithoutTable
         table = weylchar.simple_table(f)
         if cache_dir is not None:
             cache_store(table, cache_dir)
@@ -186,7 +179,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_charpolys(args) -> int:
     t = parse_type(args.type)
-    _load_exceptional_tables(t, args.cache)
+    _load_exceptional_tables(t.factors, args.cache)
     table = weylchar.charpolys(t)
     _emit(
         _table_json(table),
@@ -198,11 +191,11 @@ def _cmd_charpolys(args) -> int:
 
 def _cmd_invariants(args) -> int:
     t = parse_type(args.type)
-    _load_exceptional_tables(t, args.cache)
-    if args.mu is not None:
+    if args.mu is not None:  # mu comes from the degrees; no table needed
         doc = {"type": render(t), "i": args.mu, "mu": weylchar.mu(t, args.mu)}
         _emit(doc, f"mu_{args.mu}({render(t)}) = {doc['mu']}")
         return 0
+    _load_exceptional_tables(t.factors, args.cache)
     if args.joint is not None:
         i, j = args.joint
         value = weylchar.mu_joint(t, i, j)
@@ -218,8 +211,6 @@ def _cmd_invariants(args) -> int:
         "mu_joint": {
             f"{i},{j}": v for (i, j), v in sorted(profile.mu_joint.items())
         },
-        "absent_mu_prime": sorted(profile.absent_mu_prime),
-        "absent_joint": sorted(map(list, profile.absent_joint)),
     }
     _emit(doc, f"invariant profile of {render(t)}")
     return 0
@@ -276,20 +267,16 @@ def _cmd_recognize(args) -> int:
 
 
 def _suite_determination(args) -> Dict:
-    e8 = cache_load("E8", args.cache) if args.cache else None
-    for f in (SimpleType("G", 2), SimpleType("F", 4), SimpleType("E", 6),
-              SimpleType("E", 7)):
-        if f.rank <= (args.max_rank or 8):
-            _load_exceptional_tables(SemisimpleType.of(f), args.cache)
-    report = reconstruct.verify_determination(args.max_rank or 8, e8_table=e8)
-    return report.to_json()
+    rank_bound = args.max_rank or 8
+    _load_exceptional_tables(simple_types(rank_bound, "GFE"), args.cache)
+    return reconstruct.verify_determination(rank_bound).to_json()
 
 
 def _suite_prop_counter(args) -> Dict:
     rank_bound = args.max_rank or 6
     mismatches: List[Dict] = []
     checked = 0
-    for t in _simple_types(rank_bound):
+    for t in simple_types(rank_bound):
         for q in (q for q in range(2, 17) if _is_prime_power(q)):
             largest, witness = orders.p_contribution_is_largest(
                 SemisimpleType.of(t), q
@@ -308,17 +295,6 @@ def _suite_prop_counter(args) -> Dict:
                     }
                 )
     return {"checked": checked, "mismatches": mismatches, "ok": not mismatches}
-
-
-def _simple_types(rank_bound: int) -> List[SimpleType]:
-    out = [SimpleType("A", n) for n in range(1, rank_bound + 1)]
-    out += [SimpleType("B", n) for n in range(2, rank_bound + 1)]
-    out += [SimpleType("D", n) for n in range(4, rank_bound + 1)]
-    for f in (SimpleType("G", 2), SimpleType("F", 4), SimpleType("E", 6),
-              SimpleType("E", 7), SimpleType("E", 8)):
-        if f.rank <= rank_bound:
-            out.append(f)
-    return out
 
 
 def _is_prime_power(q: int) -> bool:
@@ -478,14 +454,6 @@ def run(argv) -> int:
     except TypeParseError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except E8WithoutTable as exc:
-        print(
-            f"error: {exc}\n"
-            "remediation: place a valid charpolys_v1_E8.json in a cache "
-            "directory and pass --cache DIR",
-            file=sys.stderr,
-        )
-        return 1
     except (WeylOrdersError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,6 +25,7 @@ from .rootsystem import (
     coxeter_number,
     degrees,
     render,
+    simple_types,
 )
 
 __all__ = [
@@ -105,16 +106,6 @@ def is_coincidence(h1: SemisimpleType, h2: SemisimpleType, q: int) -> bool:
 # --- exhaustive two-factor enumeration ----------------------------------------
 
 
-def _simple_types_up_to(rank_bound: int) -> List[SimpleType]:
-    out = [SimpleType("A", n) for n in range(1, rank_bound + 1)]
-    out += [SimpleType("B", n) for n in range(2, rank_bound + 1)]
-    out += [SimpleType("D", n) for n in range(4, rank_bound + 1)]
-    for exc in (SimpleType("G", 2), SimpleType("F", 4), SimpleType("E", 6),
-                SimpleType("E", 7), SimpleType("E", 8)):
-        if exc.rank <= rank_bound:
-            out.append(exc)
-    return out
-
 def _oriented(p: CoincidencePair) -> CoincidencePair:
     """Deterministic orientation for set comparisons."""
     if (render(p.left), render(p.right)) <= (render(p.right), render(p.left)):
@@ -127,7 +118,7 @@ def enumerate_two_factor_pairs(rank_bound: int) -> List[CoincidencePair]:
     no common factor, and per-side total rank <= rank_bound."""
     if rank_bound < 2:
         raise ValueError("rank bound must be >= 2")
-    simples = _simple_types_up_to(rank_bound - 1)
+    simples = simple_types(rank_bound - 1)
     buckets: Dict[Tuple[int, ...], List[Tuple[SimpleType, SimpleType]]] = {}
     for a, b in combinations_with_replacement(simples, 2):
         if a.rank + b.rank > rank_bound:

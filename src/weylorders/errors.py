@@ -13,18 +13,6 @@ class FactorizationLimitError(WeylOrdersError):
     """Integer too large for the desk-scale factorization guarantee."""
 
 
-class MatrixOverflowError(WeylOrdersError):
-    """A matrix entry left the fixed-width range during group enumeration."""
-
-
-class E8WithoutTable(WeylOrdersError):
-    """An operation needs the E8 character-polynomial table and none was supplied."""
-
-
-class Unresolvable(WeylOrdersError):
-    """An invariant cannot be computed from degree data alone and no table is available."""
-
-
 class NotAWeylFamily(WeylOrdersError):
     """A polynomial family is inconsistent with being ch(W) for any Weyl group."""
 

@@ -189,7 +189,7 @@ def recognize_order(m: int, rank_bound: int) -> List[Tuple[SemisimpleType, int]]
     if m < 2:
         raise WeylOrdersError("m must be >= 2")
     fac = factorize(m)
-    candidates = list(all_semisimple_types(rank_bound, include_e8=True))
+    candidates = list(all_semisimple_types(rank_bound))
     hits = []
     for p, v in fac.items():
         for t in candidates:

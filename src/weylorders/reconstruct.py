@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .cyclotomic import CycloProduct
-from .errors import AmbiguousBlock, E8WithoutTable, NotAWeylFamily
+from .errors import AmbiguousBlock, NotAWeylFamily
 from .rootsystem import (
+    EXCEPTIONAL,
     SemisimpleType,
     SimpleType,
     all_semisimple_types,
@@ -111,8 +112,7 @@ def _catalogue(h: int) -> List[SimpleType]:
         out.append(SimpleType("B", h // 2))
     if h % 2 == 0 and h // 2 + 1 >= 4:
         out.append(SimpleType("D", h // 2 + 1))
-    for exc in (SimpleType("G", 2), SimpleType("F", 4), SimpleType("E", 6),
-                SimpleType("E", 7), SimpleType("E", 8)):
+    for exc in EXCEPTIONAL:
         if coxeter_number(exc) == h:
             out.append(exc)
     return out
@@ -136,17 +136,13 @@ def _block_covers(block_degrees: Tuple[int, ...], h: int) -> List[Tuple[SimpleTy
 
 
 def _predicted_family(
-    factors: Tuple[SimpleType, ...],
-    residual: FrozenSet[CycloProduct],
-    e8_table: Optional[CharPolyTable],
+    factors: Tuple[SimpleType, ...], residual: FrozenSet[CycloProduct]
 ) -> FrozenSet[CycloProduct]:
-    block = charpolys(SemisimpleType.of(*factors), e8_table)
+    block = charpolys(SemisimpleType.of(*factors))
     return frozenset(c * g for c in block.entries for g in residual)
 
 
-def peel_max_coxeter(
-    fam: CharPolyFamily, e8_table: Optional[CharPolyTable] = None
-) -> Tuple[CoxeterBlock, CharPolyFamily]:
+def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]:
     """Split off the factors of maximal Coxeter number h.
 
     When the block degrees admit more than one factor multiset (this
@@ -194,7 +190,7 @@ def peel_max_coxeter(
     if len(covers) > 1:
         covers = [
             c for c in covers
-            if _predicted_family(c, residual, e8_table) == fam.polys
+            if _predicted_family(c, residual) == fam.polys
         ]
         if not covers:
             raise NotAWeylFamily("no candidate block is consistent with the family")
@@ -207,27 +203,20 @@ def peel_max_coxeter(
     return block, CharPolyFamily(residual, residual_rank)
 
 
-def reconstruct(
-    fam: CharPolyFamily, e8_table: Optional[CharPolyTable] = None
-) -> SemisimpleType:
+def reconstruct(fam: CharPolyFamily) -> SemisimpleType:
     """Repeated peeling until the family is exhausted; returns the canonical type.
 
     The result certifies itself: its own polynomial set must reproduce the
     input exactly, so inconsistent input families fail instead of mapping to
-    a wrong type.  (The certificate is skipped only for a reconstructed E8
-    factor with no table available, the experimental path.)
+    a wrong type.
     """
     original = fam
     factors: List[SimpleType] = []
     while fam.rank > 0:
-        block, fam = peel_max_coxeter(fam, e8_table)
+        block, fam = peel_max_coxeter(fam)
         factors.extend(block.factors)
     result = SemisimpleType.of(*factors)
-    try:
-        predicted = charpolys(result, e8_table).poly_set()
-    except E8WithoutTable:
-        return result
-    if predicted != original.polys:
+    if charpolys(result).poly_set() != original.polys:
         raise NotAWeylFamily(
             f"family is not the polynomial set of {render(result)} "
             "or of any other catalogued type"
@@ -263,10 +252,7 @@ class DeterminationReport:
 
 
 def verify_determination(
-    rank_bound: int,
-    alphabet: Iterable[str] = "ABDGFE",
-    e8_table: Optional[CharPolyTable] = None,
-    check_profiles: bool = True,
+    rank_bound: int, alphabet: Iterable[str] = "ABDGFE"
 ) -> DeterminationReport:
     """Exhaustively verify that distinct types have distinct polynomial sets,
     that reconstruction round-trips, and that invariant profiles separate types.
@@ -275,9 +261,9 @@ def verify_determination(
     report = DeterminationReport(rank_bound, alphabet)
     seen_sets: Dict[FrozenSet[CycloProduct], SemisimpleType] = {}
     seen_profiles: Dict[Tuple, SemisimpleType] = {}
-    for t in all_semisimple_types(rank_bound, alphabet, include_e8=e8_table is not None):
+    for t in all_semisimple_types(rank_bound, alphabet):
         report.types_checked += 1
-        table = charpolys(t, e8_table)
+        table = charpolys(t)
         key = table.poly_set()
         other = seen_sets.get(key)
         if other is not None:
@@ -285,15 +271,14 @@ def verify_determination(
         else:
             seen_sets[key] = t
 
-        got = reconstruct(CharPolyFamily(key, t.rank), e8_table)
+        got = reconstruct(CharPolyFamily(key, t.rank))
         if got != t:
             report.roundtrip_failures.append(f"{render(t)} -> {render(got)}")
 
-        if check_profiles:
-            pkey = invariant_profile(t).key()
-            other = seen_profiles.get(pkey)
-            if other is not None:
-                report.profile_collisions.append((render(other), render(t)))
-            else:
-                seen_profiles[pkey] = t
+        pkey = invariant_profile(t).key()
+        other = seen_profiles.get(pkey)
+        if other is not None:
+            report.profile_collisions.append((render(other), render(t)))
+        else:
+            seen_profiles[pkey] = t
     return report

@@ -23,9 +23,12 @@ __all__ = [
     "positive_root_count",
     "weyl_order",
     "cartan_pairing",
+    "table_parabolic",
     "reflection_generators",
     "parse_type",
     "render",
+    "EXCEPTIONAL",
+    "simple_types",
     "all_semisimple_types",
 ]
 
@@ -60,6 +63,16 @@ class SimpleType:
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
+
+
+# The exceptional simple types; every catalogue of simple types reads this.
+EXCEPTIONAL = (
+    SimpleType("G", 2),
+    SimpleType("F", 4),
+    SimpleType("E", 6),
+    SimpleType("E", 7),
+    SimpleType("E", 8),
+)
 
 
 def _simple_degrees(t: SimpleType) -> Tuple[int, ...]:
@@ -186,6 +199,19 @@ def cartan_pairing(t: SimpleType) -> List[List[int]]:
     return a
 
 
+def table_parabolic(t: SimpleType) -> int:
+    """Node k (numbered as in cartan_pairing) of an exceptional type whose
+    maximal parabolic subgroup W_{S-k} its characteristic-polynomial table
+    is summed over: G2 via A1, F4 via B3, E6 via D5, E7 via E6, E8 via A7.
+
+    E8 via A7 sums 35 double cosets of 40,320 elements each; via D7 it would
+    be 10 of 322,560 and via E7 5 of 2,903,040.
+    """
+    return {("G", 2): 0, ("F", 4): 3, ("E", 6): 0, ("E", 7): 6, ("E", 8): 1}[
+        (t.letter, t.rank)
+    ]
+
+
 def reflection_generators(t: SimpleType) -> List[Tuple[Tuple[int, ...], ...]]:
     """Simple reflections acting on the root-lattice basis, as integer matrices.
 
@@ -240,34 +266,28 @@ def render(t: SemisimpleType) -> str:
     return "x".join(str(f) for f in t.factors)
 
 
-def all_semisimple_types(
-    rank_bound: int,
-    letters: Iterable[str] = "ABDGFE",
-    include_e8: bool = False,
-) -> Iterator[SemisimpleType]:
-    """All nonempty canonical semisimple types of total rank <= rank_bound.
+def simple_types(rank_bound: int, letters: Iterable[str] = "ABDGFE") -> List[SimpleType]:
+    """Canonical simple types of rank <= rank_bound with the given letters, sorted.
 
-    The letter E covers E6 and E7; E8 joins only when include_e8 is set.
+    The letter E covers E6, E7 and E8; C selects the B series it is stored as.
     """
     letters = set(letters)
-    simples: List[SimpleType] = []
+    out: List[SimpleType] = []
     if "A" in letters:
-        simples += [SimpleType("A", n) for n in range(1, rank_bound + 1)]
+        out += [SimpleType("A", n) for n in range(1, rank_bound + 1)]
     if "B" in letters or "C" in letters:
-        simples += [SimpleType("B", n) for n in range(2, rank_bound + 1)]
+        out += [SimpleType("B", n) for n in range(2, rank_bound + 1)]
     if "D" in letters:
-        simples += [SimpleType("D", n) for n in range(4, rank_bound + 1)]
-    if "G" in letters and rank_bound >= 2:
-        simples.append(SimpleType("G", 2))
-    if "F" in letters and rank_bound >= 4:
-        simples.append(SimpleType("F", 4))
-    if "E" in letters:
-        simples += [
-            SimpleType("E", n)
-            for n in (6, 7, 8)
-            if n <= rank_bound and (n != 8 or include_e8)
-        ]
-    simples.sort()
+        out += [SimpleType("D", n) for n in range(4, rank_bound + 1)]
+    out += [f for f in EXCEPTIONAL if f.letter in letters and f.rank <= rank_bound]
+    return sorted(out)
+
+
+def all_semisimple_types(
+    rank_bound: int, letters: Iterable[str] = "ABDGFE"
+) -> Iterator[SemisimpleType]:
+    """All nonempty canonical semisimple types of total rank <= rank_bound."""
+    simples = simple_types(rank_bound, letters)
 
     def rec(start: int, budget: int, acc: List[SimpleType]) -> Iterator[SemisimpleType]:
         for idx in range(start, len(simples)):

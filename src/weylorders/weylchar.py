@@ -1,27 +1,31 @@
 """Characteristic polynomials of Weyl group elements and their invariants.
 
 Tables are computed combinatorially for the classical families (cycle types
-of permutations and signed permutations), by exhaustive matrix enumeration
-for G2, F4, E6 and E7, and by degree-derived reductions for E8.  Every table
-carries element counts so the group order acts as a correctness certificate.
+of permutations and signed permutations) and, for G2, F4, E6, E7 and E8, by
+exact integer enumeration: a coset chain of parabolic subgroups lists the
+elements, and a sum over the double cosets of one maximal parabolic subgroup
+counts each class function over the whole group.  Every table carries
+element counts so the group order acts as a correctness certificate.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .cyclotomic import CycloProduct, IntPoly, cyclotomic, euler_phi
-from .errors import E8WithoutTable, MatrixOverflowError, Unresolvable
 from .rootsystem import (
+    EXCEPTIONAL,
     SemisimpleType,
     SimpleType,
+    cartan_pairing,
     degrees,
     reflection_generators,
+    table_parabolic,
     weyl_order,
 )
 
@@ -39,9 +43,6 @@ __all__ = [
     "mu_joint",
     "invariant_profile",
 ]
-
-_ENTRY_BOUND = 100  # Weyl matrices in root coordinates stay far below this
-
 
 @dataclass(frozen=True)
 class CharPolyTable:
@@ -178,61 +179,107 @@ def charpolys_classical(t: SimpleType) -> CharPolyTable:
     return table
 
 
-# --- exhaustive matrix enumeration -------------------------------------------
+# --- coset-chain enumeration -------------------------------------------------
 
 
-def _bfs_elements(gens: List[Tuple[Tuple[int, ...], ...]]) -> np.ndarray:
-    """Closure of the generators under multiplication, as an (N, n, n) array.
+def _orbit_walk(
+    a: List[List[int]], gens: np.ndarray, nodes: Iterable[int], start: Tuple[int, ...]
+) -> Tuple[List[Tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Walk the W_J-orbit (J = nodes) of a weight dominant for W_J.
 
-    Products of a BFS level land in the adjacent levels only (reflection
-    length changes by one), so deduplication needs just two level sets.
+    Weights are Dynkin labels, and s_i subtracts label i times alpha_i, which
+    is row i of the Cartan pairing.  Applying s_i to a weight whose label i is
+    positive moves one level down the orbit, so the walk meets each weight mu
+    at depth l(x_mu), where x_mu is the minimal element of W_J sending the
+    start to mu, and det x_mu = (-1)^depth.  Returns the weights in order of
+    nondecreasing depth, with their representatives x_mu and determinants.
     """
-    n = len(gens[0])
-    gen_arr = np.array(gens, dtype=np.int32)
-    ident = np.eye(n, dtype=np.int8)[None, :, :]
-    levels = [ident]
-    prev_keys: set = set()
-    cur_keys = {ident.tobytes()}
-    frontier = ident.astype(np.int32)
-    row_bytes = n * n
-    while True:
-        prods = np.concatenate([frontier @ g for g in gen_arr], axis=0)
-        if np.abs(prods).max() > _ENTRY_BOUND:
-            raise MatrixOverflowError("matrix entries left the expected range")
-        uniq = np.unique(prods.astype(np.int8).reshape(-1, row_bytes), axis=0)
-        blob = uniq.tobytes()
-        fresh_rows = []
-        next_keys = set()
-        for i in range(len(uniq)):
-            key = blob[i * row_bytes : (i + 1) * row_bytes]
-            if key in prev_keys or key in cur_keys:
-                continue
-            next_keys.add(key)
-            fresh_rows.append(i)
-        if not fresh_rows:
-            break
-        level = uniq[fresh_rows].reshape(-1, n, n)
-        levels.append(level)
-        prev_keys, cur_keys = cur_keys, next_keys
-        frontier = level.astype(np.int32)
-    return np.concatenate(levels, axis=0)
+    n = len(a)
+    weights = [start]
+    reps = [np.eye(n, dtype=np.int32)]
+    dets = [1]
+    seen = {start}
+    idx = 0
+    while idx < len(weights):
+        mu = weights[idx]
+        for i in nodes:
+            if mu[i] > 0:
+                nu = tuple(m - mu[i] * r for m, r in zip(mu, a[i]))
+                if nu not in seen:
+                    seen.add(nu)
+                    weights.append(nu)
+                    reps.append(gens[i] @ reps[idx])
+                    dets.append(-dets[idx])
+        idx += 1
+    return weights, np.array(reps), np.array(dets, dtype=np.int32)
 
 
-def _newton_charpoly(power_sums: Tuple[int, ...]) -> IntPoly:
-    """Characteristic polynomial from trace power sums, exactly."""
-    n = len(power_sums)
+def _fundamental_weight(n: int, k: int) -> Tuple[int, ...]:
+    return tuple(int(i == k) for i in range(n))
+
+
+def _parabolic_elements(
+    a: List[List[int]], gens: np.ndarray, nodes: List[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every element of W_J (J = nodes) with its determinant.
+
+    The coset chain: with J_m the first m nodes and k its last, W_{J_m} is
+    the disjoint product of the minimal coset representatives (the orbit of
+    omega_k) with W_{J_m - k}, so no element is met twice.
+    """
+    n = len(a)
+    mats = np.eye(n, dtype=np.int32)[None]
+    dets = np.ones(1, dtype=np.int32)
+    for m in range(1, len(nodes) + 1):
+        _, reps, signs = _orbit_walk(a, gens, nodes[:m], _fundamental_weight(n, nodes[m - 1]))
+        mats = (reps[:, None] @ mats[None]).reshape(-1, n, n)
+        dets = (signs[:, None] * dets[None]).reshape(-1)
+    return mats, dets
+
+
+def _class_keys(mats: np.ndarray, dets: np.ndarray) -> Dict[Tuple[int, ...], int]:
+    """Distinct (p_1, ..., p_h, det) over a batch of n x n matrices, h = n // 2,
+    with their counts, where p_k = tr M^k.
+
+    Eigenvalues of a Weyl group element are closed under inversion, so
+    e_{n-k} = det * e_k and these values fix the characteristic polynomial.
+    Each p_k is the sum of M^a o (M^b)^T over entries, a + b = k.
+    """
+    n = mats.shape[1]
+    half = n // 2
+    powers = [mats]
+    while len(powers) < (half + 1) // 2:
+        powers.append(powers[-1] @ mats)
+    cols = [np.trace(mats, axis1=1, axis2=2)] if half else []
+    for k in range(2, half + 1):
+        cols.append(np.einsum("nij,nji->n", powers[(k + 1) // 2 - 1], powers[k // 2 - 1]))
+    cols.append(dets)
+    # Every column lies in [-n, n]: pack a row into one integer for np.unique.
+    packed = np.zeros(len(mats), dtype=np.int64)
+    for col in cols:
+        packed = packed * (2 * n + 1) + (col + n)
+    _, first, counts = np.unique(packed, return_index=True, return_counts=True)
+    rows = np.stack(cols, axis=1)[first].tolist()
+    return dict(zip(map(tuple, rows), counts.tolist()))
+
+
+def _charpoly(key: Tuple[int, ...], n: int) -> IntPoly:
+    """Characteristic polynomial from (p_1, ..., p_{n//2}, det), exactly.
+
+    Newton's identities give e_1, ..., e_{n//2}; the rest is e_{n-k} = det * e_k.
+    """
+    *power_sums, det = key
     e = [1] + [0] * n
-    for k in range(1, n + 1):
+    for k in range(1, len(power_sums) + 1):
         acc = 0
         for i in range(1, k + 1):
             acc += (-1) ** (i - 1) * e[k - i] * power_sums[i - 1]
         if acc % k:
             raise ArithmeticError("power sums are not those of an integer matrix")
         e[k] = acc // k
-    coeffs = [0] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = (-1) ** k * e[k]
-    return IntPoly.make(coeffs)
+    for k in range(len(power_sums) + 1, n + 1):
+        e[k] = det * e[n - k]
+    return IntPoly.make((-1) ** (n - j) * e[n - j] for j in range(n + 1))
 
 
 def _cyclo_candidates(n: int) -> List[int]:
@@ -257,62 +304,57 @@ def _factor_into_cyclotomics(poly: IntPoly) -> CycloProduct:
     return CycloProduct.from_mapping(exps)
 
 
-def charpolys_enumerated(t: SimpleType) -> CharPolyTable:
-    """Brute-force table by exhaustive group generation; the enumeration oracle.
+def _chain_table(t: SimpleType, node: Optional[int]) -> CharPolyTable:
+    """Table of W summed over the double cosets of H = W_{S-node}.
 
-    Feasible for the classical types at small rank and for G2, F4, E6, E7.
+    For a class function f, the sum of f over HxH is [HxH : H] times the sum
+    of f(xu) over u in H.  The double cosets are the H-orbits on the orbit of
+    omega_node, [HxH : H] is the size of the H-orbit of x.omega_node, and the
+    first weight the walk meets in each H-orbit is dominant for H.  With node
+    None every coset xH of H = W_{S-(n-1)} counts once: the full chain.
     """
     t = t.canonical()
-    if (t.letter, t.rank) == ("E", 8):
-        raise E8WithoutTable(
-            "exhaustive enumeration of the rank-8 exceptional Weyl group "
-            "(696729600 elements) is out of desk scale; load a table from "
-            "a cache directory instead"
-        )
-    elements = _bfs_elements(reflection_generators(t))
     n = t.rank
-    count = len(elements)
-
-    traces = np.empty((count, n), dtype=np.int64)
-    chunk = 200_000
-    for lo in range(0, count, chunk):
-        block = elements[lo : lo + chunk].astype(np.int32)
-        power = block.copy()
-        traces[lo : lo + chunk, 0] = np.trace(power, axis1=1, axis2=2)
-        for k in range(1, n):
-            power = power @ block
-            if np.abs(power).max() > _ENTRY_BOUND:
-                raise MatrixOverflowError("matrix entries left the expected range")
-            traces[lo : lo + chunk, k] = np.trace(power, axis1=1, axis2=2)
-
-    uniq, counts = np.unique(traces, axis=0, return_counts=True)
+    a = cartan_pairing(t)
+    gens = np.array(reflection_generators(t), dtype=np.int32)
+    top = n - 1 if node is None else node
+    sub = [i for i in range(n) if i != top]
+    weights, reps, dets = _orbit_walk(a, gens, range(n), _fundamental_weight(n, top))
+    if node is None:
+        blocks = [(x, d, 1) for x, d in zip(reps, dets)]
+    else:
+        blocks, covered = [], set()
+        for mu, x, d in zip(weights, reps, dets):
+            if mu not in covered:
+                orbit = _orbit_walk(a, gens, sub, mu)[0]
+                covered.update(orbit)
+                blocks.append((x, d, len(orbit)))
+    elements, signs = _parabolic_elements(a, gens, sub)
+    counts: Dict[Tuple[int, ...], int] = {}
+    for x, d, weight in blocks:
+        for key, cnt in _class_keys(x @ elements, d * signs).items():
+            counts[key] = counts.get(key, 0) + weight * cnt
     entries: Dict[CycloProduct, int] = {}
-    for row, cnt in zip(uniq, counts):
-        poly = _factor_into_cyclotomics(_newton_charpoly(tuple(int(v) for v in row)))
-        entries[poly] = entries.get(poly, 0) + int(cnt)
-
-    table = CharPolyTable(SemisimpleType.of(t), count, entries)
+    for key, cnt in counts.items():
+        poly = _factor_into_cyclotomics(_charpoly(key, n))
+        entries[poly] = entries.get(poly, 0) + cnt
+    table = CharPolyTable(SemisimpleType.of(t), weyl_order(t), entries)
     table.validate()
-    if count != weyl_order(t):
-        raise MatrixOverflowError(
-            f"enumeration of {t} found {count} elements, expected {weyl_order(t)}"
-        )
     return table
 
 
-_EXCEPTIONAL = {("G", 2), ("F", 4), ("E", 6), ("E", 7)}
+def charpolys_enumerated(t: SimpleType) -> CharPolyTable:
+    """Table from the full coset chain, every element once; the enumeration oracle."""
+    return _chain_table(t, None)
 
 
 def charpolys_exceptional(t: SimpleType) -> CharPolyTable:
-    """Exhaustive table for G2, F4, E6 or E7."""
+    """Table of G2, F4, E6, E7 or E8, summed over the double cosets of the
+    maximal parabolic subgroup fixed for the type (rootsystem.table_parabolic)."""
     t = t.canonical()
-    if (t.letter, t.rank) == ("E", 8):
-        raise E8WithoutTable(
-            "E8 is not enumerated; supply a cached table (see the cli module)"
-        )
-    if (t.letter, t.rank) not in _EXCEPTIONAL:
+    if t not in EXCEPTIONAL:
         raise ValueError(f"{t} is classical; use charpolys_classical")
-    return charpolys_enumerated(t)
+    return _chain_table(t, table_parabolic(t))
 
 
 # --- the table registry and products -----------------------------------------
@@ -333,20 +375,12 @@ def seed_table(table: CharPolyTable) -> None:
         _table_memo[t] = table
 
 
-def simple_table(t: SimpleType, e8_table: Optional[CharPolyTable] = None) -> CharPolyTable:
+def simple_table(t: SimpleType) -> CharPolyTable:
     t = t.canonical()
     got = _table_memo.get(t)
     if got is not None:
         return got
-    if (t.letter, t.rank) == ("E", 8):
-        if e8_table is None:
-            raise E8WithoutTable(
-                "the E8 table must be supplied; compute or download one into "
-                "a cache directory and load it"
-            )
-        seed_table(e8_table)
-        return _table_memo[t]
-    if (t.letter, t.rank) in _EXCEPTIONAL:
+    if t in EXCEPTIONAL:
         table = charpolys_exceptional(t)
     else:
         table = charpolys_classical(t)
@@ -355,14 +389,12 @@ def simple_table(t: SimpleType, e8_table: Optional[CharPolyTable] = None) -> Cha
     return _table_memo[t]
 
 
-def charpolys(
-    t: SemisimpleType, e8_table: Optional[CharPolyTable] = None
-) -> CharPolyTable:
+def charpolys(t: SemisimpleType) -> CharPolyTable:
     """Table for a semisimple type: convolution product over the factors."""
     entries: Dict[CycloProduct, int] = {CycloProduct.one(): 1}
     order = 1
     for f in t.factors:
-        ft = simple_table(f, e8_table)
+        ft = simple_table(f)
         merged: Dict[CycloProduct, int] = {}
         for p1, c1 in entries.items():
             for p2, c2 in ft.entries.items():
@@ -380,7 +412,7 @@ def charpolys(
 
 def ch_star(t: SemisimpleType) -> FrozenSet[int]:
     """Indices r such that phi_r divides some member of ch(W): the divisor
-    closure of the fundamental degrees (valid for every type, E8 included)."""
+    closure of the fundamental degrees."""
     out = set()
     for d in degrees(t):
         for r in range(1, d + 1):
@@ -397,10 +429,6 @@ def mu(t: SemisimpleType, i: int) -> int:
     return sum(1 for d in degrees(t) if d % i == 0)
 
 
-def _needs_table(f: SimpleType) -> bool:
-    return (f.letter, f.rank) == ("E", 8) and f not in _table_memo
-
-
 _mu_prime_cache: Dict[Tuple[SimpleType, int], int] = {}
 _mu_joint_cache: Dict[Tuple[SimpleType, int, int], int] = {}
 
@@ -413,10 +441,6 @@ def _mu_prime_simple(f: SimpleType, i: int) -> int:
     if top == 0:
         value = 0
     else:
-        if _needs_table(f):
-            raise Unresolvable(
-                f"mu'_{i} of the rank-8 exceptional factor needs its table"
-            )
         table = simple_table(f)
         value = min(p.exponent(2) for p in table.entries if p.exponent(i) == top)
     _mu_prime_cache[(f, i)] = value
@@ -441,10 +465,6 @@ def _mu_joint_simple(f: SimpleType, i: int, j: int) -> int:
     elif mj == 0:
         value = mi
     else:
-        if _needs_table(f):
-            raise Unresolvable(
-                f"mu_{{{i},{j}}} of the rank-8 exceptional factor needs its table"
-            )
         table = simple_table(f)
         value = max(p.exponent(i) + p.exponent(j) for p in table.entries)
     _mu_joint_cache[(f, i, j)] = value
@@ -465,8 +485,7 @@ class InvariantProfile:
 
     Joint entries are stored only for index pairs where both single
     invariants are positive; all other joint values are forced to
-    max(mu_i, mu_j) and carry no extra information.  Entries that would
-    need a missing E8 table are listed as absent, never guessed.
+    max(mu_i, mu_j) and carry no extra information.
     """
 
     type_label: SemisimpleType
@@ -474,8 +493,6 @@ class InvariantProfile:
     mu: Dict[int, int]
     mu_prime: Dict[int, int]
     mu_joint: Dict[Tuple[int, int], int]
-    absent_mu_prime: FrozenSet[int] = field(default=frozenset())
-    absent_joint: FrozenSet[Tuple[int, int]] = field(default=frozenset())
 
     def key(self) -> Tuple:
         return (
@@ -483,36 +500,17 @@ class InvariantProfile:
             tuple(sorted(self.mu.items())),
             tuple(sorted(self.mu_prime.items())),
             tuple(sorted(self.mu_joint.items())),
-            tuple(sorted(self.absent_mu_prime)),
-            tuple(sorted(self.absent_joint)),
         )
 
 
 def invariant_profile(t: SemisimpleType) -> InvariantProfile:
     bound = max(30, 2 * t.rank)
     mu_map = {i: mu(t, i) for i in range(1, bound + 1)}
-    prime_map: Dict[int, int] = {}
-    absent_prime = set()
-    for i in range(3, bound + 1):
-        try:
-            prime_map[i] = mu_prime(t, i)
-        except Unresolvable:
-            absent_prime.add(i)
-    joint_map: Dict[Tuple[int, int], int] = {}
-    absent_joint = set()
+    prime_map = {i: mu_prime(t, i) for i in range(3, bound + 1)}
     positive = [i for i in range(1, bound + 1) if mu_map[i] > 0]
-    for a_idx, i in enumerate(positive):
-        for j in positive[a_idx + 1 :]:
-            try:
-                joint_map[(i, j)] = mu_joint(t, i, j)
-            except Unresolvable:
-                absent_joint.add((i, j))
-    return InvariantProfile(
-        t,
-        bound,
-        mu_map,
-        prime_map,
-        joint_map,
-        frozenset(absent_prime),
-        frozenset(absent_joint),
-    )
+    joint_map = {
+        (i, j): mu_joint(t, i, j)
+        for a_idx, i in enumerate(positive)
+        for j in positive[a_idx + 1 :]
+    }
+    return InvariantProfile(t, bound, mu_map, prime_map, joint_map)

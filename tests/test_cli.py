@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from weylorders import weylchar
 from weylorders.cli import cache_load, cache_store, run
 from weylorders.errors import CacheInvalid
 from weylorders.rootsystem import SimpleType
@@ -44,21 +45,32 @@ def test_charpolys_command(capsys, tmp_path):
     assert doc2 == doc
 
 
-def test_charpolys_e8_remediation(capsys, tmp_path):
-    assert run(["charpolys", "--type", "E8"]) == 1
-    err = capsys.readouterr().err
-    assert "remediation" in err
-    # an empty cache directory does not help: absent file, same failure
-    assert run(["charpolys", "--type", "E8", "--cache", str(tmp_path)]) == 1
+def test_charpolys_e8_command(capsys, tmp_path):
+    doc = run_json(capsys, ["charpolys", "--type", "E8", "--cache", str(tmp_path)])
+    assert doc["group_order"] == "696729600"
+    assert len(doc["entries"]) == 106
+    assert (tmp_path / "charpolys_v1_E8.json").exists()
+    assert cache_load("E8", tmp_path).group_order == 696729600
 
 
 def test_invariants_command(capsys):
     doc = run_json(capsys, ["invariants", "--type", "E8", "--mu", "30"])
     assert doc["mu"] == 1
+    doc = run_json(capsys, ["invariants", "--type", "E8", "--joint", "2", "30"])
+    assert doc["mu_joint"] == 8
     doc = run_json(capsys, ["invariants", "--type", "B3", "--joint", "4", "6"])
     assert doc["mu_joint"] == 1
     doc = run_json(capsys, ["invariants", "--type", "B2"])
     assert doc["mu"]["4"] == 1 and doc["mu"]["2"] == 2
+
+
+def test_invariants_mu_reads_no_table(capsys, monkeypatch):
+    def no_table(t):
+        raise AssertionError(f"the {t} table was loaded for a degree-only answer")
+
+    monkeypatch.setattr(weylchar, "simple_table", no_table)
+    doc = run_json(capsys, ["invariants", "--type", "F4", "--mu", "12"])
+    assert doc["mu"] == 1
 
 
 def test_reconstruct_command(capsys, tmp_path):

@@ -14,6 +14,7 @@ from weylorders.rootsystem import (
     positive_root_count,
     reflection_generators,
     render,
+    simple_types,
     weyl_order,
 )
 
@@ -165,3 +166,12 @@ def test_all_semisimple_types_rank_bounds():
     assert names == {"A1", "A1xA1", "A2", "B2", "G2"}
     for t in all_semisimple_types(5):
         assert 1 <= t.rank <= 5
+
+
+def test_simple_types_catalogue():
+    names = [str(f) for f in simple_types(4)]
+    assert names == ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "G2"]
+    assert [str(f) for f in simple_types(8, "GFE")] == ["E6", "E7", "E8", "F4", "G2"]
+    assert simple_types(5, "C") == simple_types(5, "B")
+    assert parse_type("E8") in set(all_semisimple_types(8))
+    assert parse_type("E8") not in set(all_semisimple_types(8, "ABDGF"))

@@ -2,9 +2,15 @@ import random
 
 import pytest
 
+from weylorders import weylchar
 from weylorders.cyclotomic import CycloProduct
-from weylorders.errors import E8WithoutTable, Unresolvable
-from weylorders.rootsystem import SemisimpleType, SimpleType, parse_type, weyl_order
+from weylorders.rootsystem import (
+    SimpleType,
+    degrees,
+    parse_type,
+    table_parabolic,
+    weyl_order,
+)
 from weylorders.weylchar import (
     CharPolyTable,
     ch_star,
@@ -58,11 +64,21 @@ def test_f4_enumeration():
     assert charpolys_exceptional(SimpleType("F", 4)).group_order == 1152
 
 
-def test_exceptional_rejects_classical_and_e8():
+def test_exceptional_rejects_classical():
     with pytest.raises(ValueError):
         charpolys_exceptional(SimpleType("B", 3))
-    with pytest.raises(E8WithoutTable):
-        charpolys_exceptional(SimpleType("E", 8))
+
+
+def test_e6_double_cosets_match_full_chain():
+    e6 = SimpleType("E", 6)
+    assert charpolys_exceptional(e6).entries == charpolys_enumerated(e6).entries
+
+
+def test_e7_routes_agree(e7_table):
+    # the fixture sums over the double cosets of E6; D6 is an independent route
+    e7 = SimpleType("E", 7)
+    assert table_parabolic(e7) == 6
+    assert weylchar._chain_table(e7, 0).entries == e7_table.entries
 
 
 @pytest.mark.parametrize(
@@ -91,9 +107,33 @@ def test_product_distinguishes_spec_pair():
     assert cp(d3=1, d4=1) not in a1a3
 
 
-def test_charpolys_e8_requires_table():
-    with pytest.raises(E8WithoutTable):
-        charpolys(parse_type("E8"))
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_charpolys_e8_certificates(e8_table):
+    t = parse_type("E8")
+    assert charpolys(t).entries == e8_table.entries
+    order = weyl_order(t)
+    assert e8_table.group_order == order == sum(e8_table.entries.values())
+    assert len(e8_table.entries) == 106
+    # Shephard-Todd: sum over W of x^{dim Fix w} = prod (x + d_i - 1)
+    want = [1]
+    for d in degrees(t):
+        want = _poly_mul(want, [d - 1, 1])
+    got = [0] * 9
+    for poly, count in e8_table.entries.items():
+        got[poly.exponent(1)] += count
+    assert got == want
+    reflection = CycloProduct.from_mapping({1: 7, 2: 1})
+    assert e8_table.entries[reflection] == 120
+    coxeter = CycloProduct.from_mapping({30: 1})
+    assert e8_table.entries[coxeter] == order // 30
+    assert e8_table.entries[CycloProduct.from_mapping({2: 8})] == 1
 
 
 def test_ch_star_examples():
@@ -150,14 +190,18 @@ def test_mu_joint_examples():
     assert mu_joint(parse_type("A1"), 1, 2) == 1
 
 
-def test_e8_unresolvable_without_table():
-    with pytest.raises(Unresolvable):
-        mu_prime(parse_type("E8"), 30)
-    with pytest.raises(Unresolvable):
-        mu_joint(parse_type("E8"), 2, 30)
-    # forced reductions need no table
-    assert mu_joint(parse_type("E8"), 28, 30) == 1
-    assert mu_prime(parse_type("E8"), 11) == 0
+def test_e8_mu_prime_and_joint(e8_table):
+    e8 = parse_type("E8")
+    # the Coxeter polynomial phi_30 fills the rank; -1 gives phi_2^8
+    assert mu_prime(e8, 30) == 0
+    assert mu_joint(e8, 2, 30) == 8
+    assert mu_joint(e8, 28, 30) == 1
+    assert mu_prime(e8, 11) == 0
+    for i in (3, 4, 5, 6, 7, 8, 9, 10, 12):
+        top = mu(e8, i)
+        assert mu_prime(e8, i) == min(
+            p.exponent(2) for p in e8_table.entries if p.exponent(i) == top
+        )
 
 
 def test_additivity_over_products():
@@ -212,12 +256,12 @@ def test_invariant_profile_bounds():
             assert v >= max(prof.mu[i], prof.mu[j])
 
 
-def test_e8_profile_marks_absent():
+def test_e8_profile_complete(e8_table):
     prof = invariant_profile(parse_type("E8"))
-    assert 30 in prof.absent_mu_prime  # needs the table
-    assert (2, 30) in prof.absent_joint
-    assert (2, 30) not in prof.mu_joint
-    assert (28, 30) not in prof.absent_joint  # forced reduction, no table needed
+    assert set(prof.mu_prime) == set(range(3, 31))
+    assert prof.mu_prime[30] == 0
+    assert prof.mu_joint[(2, 30)] == 8
+    assert (28, 30) not in prof.mu_joint  # mu_28 = 0: forced, not stored
 
 
 def test_seed_table_validates():
@@ -248,31 +292,17 @@ def test_concurrent_table_reads():
     assert orders == [48] * 6
 
 
-def test_e8_table_flow_with_seeded_table(monkeypatch):
-    """A structurally valid table unlocks the E8-gated paths.
+def test_e8_table_flow_with_seeded_table(monkeypatch, e8_table):
+    """A seeded table serves every E8 path without being recomputed."""
+    monkeypatch.setattr(weylchar, "_table_memo", {})
+    monkeypatch.setattr(weylchar, "_mu_prime_cache", {})
+    monkeypatch.setattr(weylchar, "_mu_joint_cache", {})
 
-    The cache certificates are integrity checks, not proofs of mathematical
-    correctness, so this test isolates the registry and uses a synthetic
-    stand-in table.
-    """
-    import weylorders.weylchar as wc
+    def no_enumeration(t):
+        raise AssertionError(f"{t} was enumerated instead of read from the registry")
 
-    monkeypatch.setattr(wc, "_table_memo", dict(wc._table_memo))
-    monkeypatch.setattr(wc, "_mu_prime_cache", {})
-    monkeypatch.setattr(wc, "_mu_joint_cache", {})
-
-    e8 = SimpleType("E", 8)
-    order = weyl_order(e8)
-    fake = CharPolyTable(
-        SemisimpleType.of(e8),
-        order,
-        {
-            CycloProduct.from_mapping({1: 8}): 1,
-            CycloProduct.from_mapping({1: 7, 2: 1}): order - 2,
-            CycloProduct.from_mapping({30: 1}): 1,
-        },
-    )
-    seed_table(fake)
+    monkeypatch.setattr(weylchar, "charpolys_exceptional", no_enumeration)
+    seed_table(e8_table)
     table = charpolys(parse_type("E8xA1"))
-    assert table.group_order == 2 * order
-    assert mu_prime(parse_type("E8"), 30) == 0  # from the stand-in table
+    assert table.group_order == 2 * weyl_order(parse_type("E8"))
+    assert mu_prime(parse_type("E8"), 30) == 0
