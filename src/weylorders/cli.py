@@ -113,18 +113,17 @@ def cache_load(type_label: str, dir_: os.PathLike) -> Optional[CharPolyTable]:
 def _load_exceptional_tables(
     factors: Iterable[SimpleType], cache_dir: Optional[str]
 ) -> None:
-    """Seed the in-process table registry from the cache, computing and
-    persisting missing ones."""
+    """With a cache directory, seed the in-process table registry from it,
+    computing and persisting missing tables; without one, do nothing (tables
+    are computed when first needed)."""
+    if cache_dir is None:
+        return
     for f in sorted(set(factors) & set(EXCEPTIONAL)):
-        label = str(f)
-        if cache_dir is not None:
-            cached = cache_load(label, cache_dir)
-            if cached is not None:
-                weylchar.seed_table(cached)
-                continue
-        table = weylchar.simple_table(f)
-        if cache_dir is not None:
-            cache_store(table, cache_dir)
+        cached = cache_load(str(f), cache_dir)
+        if cached is not None:
+            weylchar.seed_table(cached)
+        else:
+            cache_store(weylchar.simple_table(f), cache_dir)
 
 
 # --- JSON helpers ----------------------------------------------------------------
@@ -434,7 +433,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("recognize", help="types with a given order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--max-rank", type=int, required=True)
+    p.add_argument("--max-rank", type=int, default=None, help="only types of rank <= this")
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -20,10 +20,13 @@ from typing import Dict, Iterable, List, Tuple
 from .errors import NoPeelingElement, NotCoincident, TypeParseError
 from .orders import order_value, same_order_all_extensions
 from .rootsystem import (
+    EXCEPTIONAL,
     SemisimpleType,
     SimpleType,
+    coxeter_catalogue,
     coxeter_number,
     degrees,
+    parse_type,
     render,
     simple_types,
 )
@@ -143,46 +146,19 @@ def enumerate_two_factor_pairs(rank_bound: int) -> List[CoincidencePair]:
 def expected_two_factor_pairs(rank_bound: int) -> List[CoincidencePair]:
     """The eight exhaustive families of two-factor pairs, instantiated to the
     given per-side rank bound."""
-    pairs: List[CoincidencePair] = []
-
-    def emit(l1, l2, r1, r2):
-        left = SemisimpleType.of(l1, l2)
-        right = SemisimpleType.of(r1, r2)
-        if left.rank <= rank_bound:
-            pairs.append(_oriented(reduce(left, right)))
-
-    def b(n: int) -> SimpleType:  # convention: the rank-1 B is A1
-        return SimpleType("A", 1) if n == 1 else SimpleType("B", n)
-
-    n = 2
-    while 3 * n - 2 <= rank_bound:  # (A_{2n-2} B_n, A_{2n-1} B_{n-1})
-        emit(SimpleType("A", 2 * n - 2), b(n), SimpleType("A", 2 * n - 1), b(n - 1))
-        n += 1
-    n = 4
-    while 2 * n - 2 <= rank_bound:  # (A_{n-2} D_n, A_{n-1} B_{n-1})
-        emit(SimpleType("A", n - 2), SimpleType("D", n), SimpleType("A", n - 1), b(n - 1))
-        n += 1
-    n = 2
-    while 3 * n - 1 <= rank_bound:  # (B_{n-1} D_{2n}, B_{2n-1} B_n)
-        emit(b(n - 1), SimpleType("D", 2 * n), SimpleType("B", 2 * n - 1), b(n))
-        n += 1
-    for l1, l2, r1, r2 in (
-        ("A1", "A5", "A4", "G2"),
-        ("A1", "B3", "B2", "G2"),
-        ("A1", "D6", "B5", "G2"),
-        ("A2", "B3", "A3", "G2"),
-        ("B3", "B3", "D4", "G2"),
-    ):
-        emit(_parse_simple(l1), _parse_simple(l2), _parse_simple(r1), _parse_simple(r2))
-    uniq = {str(p): p for p in pairs}
-    return sorted(uniq.values(), key=lambda p: (p.left.rank, render(p.left), render(p.right)))
-
-
-def _parse_simple(token: str) -> SimpleType:
-    m = re.fullmatch(r"([A-G])([0-9]+)", token)
-    if not m:
-        raise TypeParseError(f"malformed simple type {token!r}")
-    return SimpleType(m.group(1), int(m.group(2)))
+    ns = range(2, rank_bound + 1)
+    sides = [(f"A{2 * n - 2}xB{n}", f"A{2 * n - 1}xB{n - 1}") for n in ns]  # B1 is A1
+    sides += [(f"A{n - 2}xD{n}", f"A{n - 1}xB{n - 1}") for n in ns if n >= 4]
+    sides += [(f"B{n - 1}xD{2 * n}", f"B{2 * n - 1}xB{n}") for n in ns]
+    sides += [("A1xA5", "A4xG2"), ("A1xB3", "B2xG2"), ("A1xD6", "B5xG2"),
+              ("A2xB3", "A3xG2"), ("B3xB3", "D4xG2")]
+    pairs: Dict[str, CoincidencePair] = {}
+    for left, right in sides:
+        l, r = parse_type(left), parse_type(right)
+        if l.rank <= rank_bound:
+            p = _oriented(reduce(l, r))
+            pairs[str(p)] = p
+    return sorted(pairs.values(), key=lambda p: (p.left.rank, render(p.left), render(p.right)))
 
 
 # --- the seven generators -----------------------------------------------------
@@ -198,27 +174,22 @@ _EXCEPTIONAL_GENERATORS = {
 
 def generator(gid: str) -> CoincidencePair:
     """One generator by id: B<n> (n>=2), D<n> (n>=4), G2, F4, E6, E7 or E8."""
-    from .rootsystem import parse_type
-
     if gid in _EXCEPTIONAL_GENERATORS:
-        l, r = _EXCEPTIONAL_GENERATORS[gid]
-        return reduce(parse_type(l), parse_type(r))
-    m = re.fullmatch(r"([BD])([0-9]+)", gid)
-    if m is None:
-        raise TypeParseError(f"unknown generator id {gid!r}")
-    kind, n = m.group(1), int(m.group(2))
-    b1 = lambda k: SimpleType("A", 1) if k == 1 else SimpleType("B", k)
-    if kind == "B":
-        if n < 2:
-            raise TypeParseError("B-family generators start at rank 2")
-        left = SemisimpleType.of(SimpleType("A", 2 * n - 2), SimpleType("B", n))
-        right = SemisimpleType.of(SimpleType("A", 2 * n - 1), b1(n - 1))
+        left, right = _EXCEPTIONAL_GENERATORS[gid]
     else:
-        if n < 4:
-            raise TypeParseError("D-family generators start at rank 4")
-        left = SemisimpleType.of(SimpleType("A", n - 2), SimpleType("D", n))
-        right = SemisimpleType.of(SimpleType("A", n - 1), SimpleType("B", n - 1))
-    return reduce(left, right)
+        m = re.fullmatch(r"([BD])([0-9]+)", gid)
+        if m is None:
+            raise TypeParseError(f"unknown generator id {gid!r}")
+        kind, n = m.group(1), int(m.group(2))
+        if kind == "B":
+            if n < 2:
+                raise TypeParseError("B-family generators start at rank 2")
+            left, right = f"A{2 * n - 2}xB{n}", f"A{2 * n - 1}xB{n - 1}"
+        else:
+            if n < 4:
+                raise TypeParseError("D-family generators start at rank 4")
+            left, right = f"A{n - 2}xD{n}", f"A{n - 1}xB{n - 1}"
+    return reduce(parse_type(left), parse_type(right))
 
 
 def generators(family_rank_bound: int = 15) -> Dict[str, CoincidencePair]:
@@ -245,16 +216,11 @@ _peel_cache: Dict[Tuple[SimpleType, SimpleType], Tuple[CoincidencePair, Generato
 
 
 def _atoms_for_degree(h: int) -> List[Tuple[str, CoincidencePair]]:
-    atoms = []
-    if h % 2 == 0 and h >= 4:
-        atoms.append((f"B{h // 2}", generator(f"B{h // 2}")))
-    if h % 2 == 0 and h // 2 + 1 >= 4:
-        atoms.append((f"D{h // 2 + 1}", generator(f"D{h // 2 + 1}")))
-    for gid in _EXCEPTIONAL_GENERATORS:
-        g = generator(gid)
-        if max(coxeter_number(f) for f in g.left.factors) == h:
-            atoms.append((gid, g))
-    return atoms
+    """The generators of top degree h: B and D, then the exceptional ones."""
+    cat = coxeter_catalogue(h)
+    ids = [str(t) for t in cat if t.letter in "BD"]
+    ids += [str(t) for t in EXCEPTIONAL if t in cat]
+    return [(gid, generator(gid)) for gid in ids]
 
 
 def _top_degree_factors(t: SemisimpleType, h: int) -> List[SimpleType]:

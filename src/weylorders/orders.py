@@ -17,10 +17,10 @@ from .errors import WeylOrdersError
 from .rootsystem import (
     SemisimpleType,
     SimpleType,
-    all_semisimple_types,
     degrees,
     positive_root_count,
     render,
+    types_with_degrees,
 )
 
 __all__ = [
@@ -179,25 +179,47 @@ def check_field_determination(
     return report
 
 
-def recognize_order(m: int, rank_bound: int) -> List[Tuple[SemisimpleType, int]]:
-    """All (type, q) with total rank <= rank_bound and that exact order.
+def _peel_degrees(r: int, q: int, n_exp: int, top: int) -> List[Tuple[int, ...]]:
+    """The degree multisets, degrees <= top, with prod(q^d - 1) = r and
+    sum(d - 1) = n_exp, each listed largest degree first."""
+    if n_exp == 0:
+        return [()] if r == 1 else []
+    d = min(top, n_exp + 1)
+    while d >= 2 and r % (q**d - 1):
+        d -= 1
+    if d < 2:
+        return []
+    out = [(d,) + rest for rest in _peel_degrees(r // (q**d - 1), q, n_exp - d + 1, d)]
+    if (q, d) == (2, 6):  # 2^6 - 1 = 3^2 * 7 has no primitive prime divisor
+        out += _peel_degrees(r, q, n_exp, 5)
+    return out
 
-    For each prime p | m the characteristic exponent forces q: the product
-    part is prime to p, so ord_p(m) = t * N exactly.  Each candidate is
-    verified by exact evaluation.
+
+def recognize_order(
+    m: int, rank_bound: Optional[int] = None
+) -> List[Tuple[SemisimpleType, int]]:
+    """All (type, q) with order m, of total rank <= rank_bound if one is given.
+
+    As q^N * prod(q^d - 1) has its product part prime to p, each prime p | m
+    with v = ord_p(m) and each N | v give q = p^(v/N) and R = m / q^N =
+    prod(q^d - 1) with sum(d - 1) = N.  R fixes the degrees: by Zsigmondy's
+    theorem each q^d - 1 (d >= 2) has a prime factor dividing no q^e - 1
+    with e < d, so the largest d <= N + 1 with (q^d - 1) | R is the top
+    degree, and the rest is peeled the same way.  The exceptions are 2^6 - 1,
+    where both "6 is a degree" and "it is not" are tried, and q^2 - 1 with
+    q + 1 a power of two, harmless as 2 is the smallest degree.  The types
+    come from ``types_with_degrees``; each is checked by exact evaluation.
     """
     if m < 2:
         raise WeylOrdersError("m must be >= 2")
-    fac = factorize(m)
-    candidates = list(all_semisimple_types(rank_bound))
     hits = []
-    for p, v in fac.items():
-        for t in candidates:
-            n_exp = positive_root_count(t)
-            if n_exp == 0 or v % n_exp:
-                continue
+    for p, v in factorize(m).items():
+        for n_exp in (n for n in range(1, v + 1) if v % n == 0):
             q = p ** (v // n_exp)
-            if order_value(t, q) == m:
-                hits.append((t, q))
+            for degs in _peel_degrees(m // q**n_exp, q, n_exp, n_exp + 1):
+                hits += [
+                    (t, q) for t in types_with_degrees(degs)
+                    if (rank_bound is None or t.rank <= rank_bound) and order_value(t, q) == m
+                ]
     hits.sort(key=lambda tq: (render(tq[0]), tq[1]))
     return hits

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .cyclotomic import CycloProduct
 from .errors import AmbiguousBlock, NotAWeylFamily
 from .rootsystem import (
-    EXCEPTIONAL,
     SemisimpleType,
     SimpleType,
     all_semisimple_types,
     coxeter_number,
-    degrees,
     render,
+    types_with_degrees,
 )
 from .weylchar import CharPolyTable, charpolys, invariant_profile
 
@@ -106,35 +104,6 @@ def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _catalogue(h: int) -> List[SimpleType]:
-    out = [SimpleType("A", h - 1)] if h >= 2 else []
-    if h % 2 == 0 and h >= 4:
-        out.append(SimpleType("B", h // 2))
-    if h % 2 == 0 and h // 2 + 1 >= 4:
-        out.append(SimpleType("D", h // 2 + 1))
-    for exc in EXCEPTIONAL:
-        if coxeter_number(exc) == h:
-            out.append(exc)
-    return out
-
-
-def _block_covers(block_degrees: Tuple[int, ...], h: int) -> List[Tuple[SimpleType, ...]]:
-    """All multisets of Coxeter-number-h simple types whose degrees give the block."""
-    target: Dict[int, int] = {}
-    for d in block_degrees:
-        target[d] = target.get(d, 0) + 1
-    count = target.get(h, 0)
-    covers = []
-    for combo in combinations_with_replacement(_catalogue(h), count):
-        got: Dict[int, int] = {}
-        for t in combo:
-            for d in degrees(t):
-                got[d] = got.get(d, 0) + 1
-        if got == target:
-            covers.append(tuple(sorted(combo)))
-    return covers
-
-
 def _predicted_family(
     factors: Tuple[SimpleType, ...], residual: FrozenSet[CycloProduct]
 ) -> FrozenSet[CycloProduct]:
@@ -184,7 +153,8 @@ def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]
     if residual_rank != residual_dim:
         raise NotAWeylFamily("fixed-space dimension disagrees with the block size")
 
-    covers = _block_covers(tuple(block_degrees), h)
+    covers = [t.factors for t in types_with_degrees(block_degrees)
+              if all(coxeter_number(f) == h for f in t.factors)]
     if not covers:
         raise NotAWeylFamily(f"no factor multiset matches block degrees {block_degrees}")
     if len(covers) > 1:

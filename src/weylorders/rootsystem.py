@@ -7,6 +7,7 @@ semisimple type expressions like ``A2xB3``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -29,6 +30,8 @@ __all__ = [
     "render",
     "EXCEPTIONAL",
     "simple_types",
+    "coxeter_catalogue",
+    "types_with_degrees",
     "all_semisimple_types",
 ]
 
@@ -281,6 +284,43 @@ def simple_types(rank_bound: int, letters: Iterable[str] = "ABDGFE") -> List[Sim
         out += [SimpleType("D", n) for n in range(4, rank_bound + 1)]
     out += [f for f in EXCEPTIONAL if f.letter in letters and f.rank <= rank_bound]
     return sorted(out)
+
+
+@functools.lru_cache(maxsize=None)
+def coxeter_catalogue(h: int) -> Tuple[SimpleType, ...]:
+    """The canonical simple types with Coxeter number h, sorted (all have
+    rank <= max(h, 8))."""
+    return tuple(t for t in simple_types(max(h, 8)) if coxeter_number(t) == h)
+
+
+def types_with_degrees(degs: Iterable[int]) -> List[SemisimpleType]:
+    """Every canonical semisimple type with the degree multiset degs, sorted.
+
+    The largest degree h left is the Coxeter number of a factor, so each
+    simple type of Coxeter number h whose degrees fit is tried in turn;
+    factors of one Coxeter number are taken in catalogue order, so each
+    type is built once.  The empty multiset gives the empty type.
+    """
+    found: List[SemisimpleType] = []
+
+    def rec(rest: List[int], acc: List[SimpleType]) -> None:
+        if not rest:
+            found.append(SemisimpleType(tuple(acc)))
+            return
+        h = rest[-1]
+        for t in coxeter_catalogue(h):
+            if acc and t < acc[-1] and coxeter_number(acc[-1]) == h:
+                continue
+            left = list(rest)
+            try:
+                for d in _simple_degrees(t):
+                    left.remove(d)
+            except ValueError:  # the degrees of t do not fit
+                continue
+            rec(left, acc + [t])
+
+    rec(sorted(degs), [])
+    return sorted(found, key=lambda t: t.factors)
 
 
 def all_semisimple_types(

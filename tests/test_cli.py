@@ -73,6 +73,15 @@ def test_invariants_mu_reads_no_table(capsys, monkeypatch):
     assert doc["mu"] == 1
 
 
+def test_invariants_joint_reads_no_table(capsys, monkeypatch):
+    def no_table(t):
+        raise AssertionError(f"the {t} table was computed for a degree-only answer")
+
+    monkeypatch.setattr(weylchar, "charpolys_exceptional", no_table)
+    doc = run_json(capsys, ["invariants", "--type", "E8", "--joint", "28", "30"])
+    assert doc["mu_joint"] == 1
+
+
 def test_reconstruct_command(capsys, tmp_path):
     table = charpolys_classical(SimpleType("B", 2))
     family = {
@@ -102,6 +111,12 @@ def test_decompose_command(capsys):
 def test_recognize_command(capsys):
     doc = run_json(capsys, ["recognize", "--order", "720", "--max-rank", "2"])
     assert doc["matches"] == [{"q": 9, "type": "A1"}, {"q": 2, "type": "B2"}]
+    assert doc["max_rank"] == 2
+    doc = run_json(capsys, ["recognize", "--order", "720"])
+    assert doc["matches"] == [{"q": 9, "type": "A1"}, {"q": 2, "type": "B2"}]
+    assert doc["max_rank"] is None
+    doc = run_json(capsys, ["recognize", "--order", "720", "--max-rank", "1"])
+    assert doc["matches"] == [{"q": 9, "type": "A1"}]
 
 
 def test_verify_pairs_suite(capsys):

@@ -121,6 +121,44 @@ def test_recognize_examples():
     assert recognize_order(7, 4) == []
 
 
+def test_recognize_without_rank_bound():
+    assert [(render(t), q) for t, q in recognize_order(720)] == [("A1", 9), ("B2", 2)]
+
+
+def test_recognize_zsigmondy_branch():
+    # 2^6 - 1 = 3^2 * 7 divides the product part of A1xA1xA2 over F_2, but 6
+    # is not a degree: (2^2 - 1)^2 (2^3 - 1) = 63 as well.
+    t = parse_type("A1xA1xA2")
+    m = order_value(t, 2)
+    assert (m // 2**5) % (2**6 - 1) == 0 and 6 not in degrees(t)
+    assert (t, 2) in recognize_order(m)
+    assert [(render(t), q) for t, q in recognize_order(m, 4)] == [("A1xA1xA2", 2)]
+
+
+def _scan(m, types):
+    """The brute-force oracle: for each prime p | m and each type whose
+    positive-root count N divides v = ord_p(m), test q = p^(v/N)."""
+    hits = []
+    for p, v in factorize(m).items():
+        for t, n_exp, degs in types:
+            if v % n_exp == 0:
+                q = p ** (v // n_exp)
+                if q**n_exp * math.prod(q**d - 1 for d in degs) == m:
+                    hits.append((t, q))
+    return sorted(hits, key=lambda tq: (render(tq[0]), tq[1]))
+
+
+def test_recognize_matches_scan_oracle():
+    """Every order of a type of rank <= 6 over a prime power q <= 16: the
+    1,060 pairs give 877 distinct orders, all below the 2^400 limit."""
+    types = [(t, sum(d - 1 for d in degrees(t)), degrees(t)) for t in all_semisimple_types(6)]
+    prime_powers = [q for q in range(2, 17) if _is_pp(q)]
+    pairs = [(t, q) for t, _, _ in types for q in prime_powers]
+    assert len(pairs) == 1060
+    for m in {order_value(t, q) for t, q in pairs}:
+        assert recognize_order(m, 6) == _scan(m, types), m
+
+
 def test_recognize_random_round_trip():
     rng = random.Random(23)
     prime_powers = [2, 3, 4, 5, 7, 8, 9]

@@ -15,6 +15,7 @@ from weylorders.rootsystem import (
     reflection_generators,
     render,
     simple_types,
+    types_with_degrees,
     weyl_order,
 )
 
@@ -175,3 +176,19 @@ def test_simple_types_catalogue():
     assert simple_types(5, "C") == simple_types(5, "B")
     assert parse_type("E8") in set(all_semisimple_types(8))
     assert parse_type("E8") not in set(all_semisimple_types(8, "ABDGF"))
+
+
+def test_types_with_degrees():
+    def names(expr):
+        return [render(t) for t in types_with_degrees(degrees(parse_type(expr)))]
+
+    assert names("A1xA3") == names("A2xB2") == ["A1xA3", "A2xB2"]
+    assert names("B3xB3") == ["B3xB3", "D4xG2"]
+    assert names("E8") == ["E8"]
+    assert types_with_degrees(()) == [SemisimpleType(())]
+    assert types_with_degrees((3,)) == []
+    for t in all_semisimple_types(6):
+        assert types_with_degrees(degrees(t)) == sorted(
+            (u for u in all_semisimple_types(6) if degrees(u) == degrees(t)),
+            key=lambda u: u.factors,
+        )
