@@ -6,16 +6,19 @@ followed by cancellation of common factors is an abelian group law with
 inversion by swapping sides.  The group is generated by two infinite
 families indexed by the B- and D-series together with five exceptional
 pairs; decomposition into generators proceeds by repeatedly cancelling the
-factors of highest fundamental degree.
+factors of highest fundamental degree.  Each peeling word comes straight from
+the generator families: at its top degree h, every generator has B_{h/2}
+alone against one other simple type, so no search over words is needed.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import NoPeelingElement, NotCoincident, TypeParseError
 from .orders import order_value, same_order_all_extensions
@@ -23,7 +26,6 @@ from .rootsystem import (
     EXCEPTIONAL,
     SemisimpleType,
     SimpleType,
-    coxeter_catalogue,
     coxeter_number,
     degrees,
     parse_type,
@@ -172,6 +174,7 @@ _EXCEPTIONAL_GENERATORS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def generator(gid: str) -> CoincidencePair:
     """One generator by id: B<n> (n>=2), D<n> (n>=4), G2, F4, E6, E7 or E8."""
     if gid in _EXCEPTIONAL_GENERATORS:
@@ -212,69 +215,38 @@ def evaluate_word(word: GeneratorWord) -> CoincidencePair:
 
 # --- decomposition into generators ---------------------------------------------
 
-_peel_cache: Dict[Tuple[SimpleType, SimpleType], Tuple[CoincidencePair, GeneratorWord]] = {}
-
-
-def _atoms_for_degree(h: int) -> List[Tuple[str, CoincidencePair]]:
-    """The generators of top degree h: B and D, then the exceptional ones."""
-    cat = coxeter_catalogue(h)
-    ids = [str(t) for t in cat if t.letter in "BD"]
-    ids += [str(t) for t in EXCEPTIONAL if t in cat]
-    return [(gid, generator(gid)) for gid in ids]
-
 
 def _top_degree_factors(t: SemisimpleType, h: int) -> List[SimpleType]:
     return [f for f in t.factors if coxeter_number(f) == h]
 
 
-def _peeling_element(
-    u: SimpleType, v: SimpleType
-) -> Tuple[CoincidencePair, GeneratorWord]:
-    """An element with u alone on the left and v alone on the right among the
-    factors of the shared top degree, found by searching short generator words."""
-    got = _peel_cache.get((u, v))
-    if got is not None:
-        return got
+def _peeling_word(u: SimpleType, v: SimpleType) -> GeneratorWord:
+    """The word whose value has u alone on the left and v alone on the right
+    among the factors of their shared Coxeter number h.
+
+    At its top degree h, each generator has B_{h/2} alone against one other
+    type: A_{h-1} in B_{h/2}'s generator, every other type in its own.  So u
+    and v each take that generator, turned to put them on their own side, and
+    the two copies of B_{h/2} cancel; B_{h/2} itself takes no letter.  Letters
+    come in the order B, D, then the exceptional generators.
+    """
     h = coxeter_number(u)
-    if coxeter_number(v) != h:
-        raise NoPeelingElement(f"{u} and {v} have different top degrees")
-    atoms = _atoms_for_degree(h)
-    for length in (1, 2, 3):
-        for combo in combinations_with_replacement(range(len(atoms)), length):
-            for signs in _sign_patterns(length):
-                word = tuple(
-                    (atoms[k][0], s) for k, s in zip(combo, signs)
-                )
-                cand = evaluate_word(word)
-                for oriented, oword in ((cand, word), (inverse(cand), _invert(word))):
-                    if _top_degree_factors(oriented.left, h) == [u] and \
-                            _top_degree_factors(oriented.right, h) == [v]:
-                        _peel_cache[(u, v)] = (oriented, oword)
-                        return oriented, oword
-    raise NoPeelingElement(
-        f"no generator word of length <= 3 isolates {{{u}, {v}}} at degree {h}"
-    )
-
-
-def _sign_patterns(length: int) -> Iterable[Tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for rest in _sign_patterns(length - 1):
-        yield (1,) + rest
-        yield (-1,) + rest
-
-
-def _invert(word: GeneratorWord) -> GeneratorWord:
-    return tuple((gid, -s) for gid, s in word)
+    letters = []
+    for t, sign in ((u, 1), (v, -1)):
+        if t.letter == "B":
+            continue
+        gid = f"B{h // 2}" if t.letter == "A" else str(t)
+        letters.append((gid, sign if t in generator(gid).left.factors else -sign))
+    order = [f"B{h // 2}", f"D{h // 2 + 1}"] + [str(t) for t in EXCEPTIONAL]
+    return tuple(sorted(letters, key=lambda letter: order.index(letter[0])))
 
 
 def decompose(p: CoincidencePair) -> GeneratorWord:
     """Express a coincidence pair as a word in the seven generator families.
 
     Repeatedly cancels one factor of the current highest fundamental degree
-    from each side using a peeling element; evaluation of the returned word
-    reproduces the input exactly.
+    from each side with the peeling word read off the generator families;
+    evaluation of the returned word reproduces the input exactly.
     """
     word: List[Tuple[str, int]] = []
     acc = p
@@ -287,10 +259,14 @@ def decompose(p: CoincidencePair) -> GeneratorWord:
                 f"top degree {h} appears on one side only of {acc}; "
                 "not a coincidence pair"
             )
-        u, v = lefts[0], rights[0]
-        w, wword = _peeling_element(u, v)
-        acc = compose(acc, inverse(w))
-        word.extend(wword)
+        if set(lefts) & set(rights):
+            raise NoPeelingElement(
+                f"a factor of top degree {h} is on both sides of {acc}; "
+                "not a reduced pair"
+            )
+        peel = _peeling_word(lefts[0], rights[0])
+        acc = compose(acc, inverse(evaluate_word(peel)))
+        word.extend(peel)
     if evaluate_word(tuple(word)) != p:
         raise AssertionError("decomposition failed to reproduce its input")
     return tuple(word)

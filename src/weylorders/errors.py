@@ -26,7 +26,8 @@ class NotCoincident(WeylOrdersError):
 
 
 class NoPeelingElement(WeylOrdersError):
-    """No peeling element was found for a pair of top-degree factors."""
+    """A pair is not reduced with equal degrees at its top degree: the degree is
+    found on one side only, or one of its factors is on both sides."""
 
 
 class CacheInvalid(WeylOrdersError):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from weylorders import coincidence
 from weylorders.coincidence import (
     CoincidencePair,
     compose,
@@ -18,7 +19,7 @@ from weylorders.coincidence import (
     verify_group_axioms,
 )
 from weylorders.errors import NoPeelingElement, NotCoincident, TypeParseError
-from weylorders.rootsystem import degrees, parse_type, render
+from weylorders.rootsystem import coxeter_catalogue, degrees, parse_type, render
 
 
 def pair(left: str, right: str) -> CoincidencePair:
@@ -97,6 +98,30 @@ def test_decompose_spec_examples():
     w = decompose(pair("A1xD4", "B2xB3"))
     assert sorted(w) == [("B2", -1), ("D4", 1)]
     assert decompose(identity_pair()) == ()
+    # exact words, letter order included: B, D, then the exceptional letters
+    for word in ((("F4", -1), ("E6", 1)), (("B6", -1), ("E6", 1)),
+                 (("D7", 1), ("F4", 1)), (("B3", 1), ("G2", -1))):
+        assert decompose(evaluate_word(word)) == word
+
+
+def test_peeling_word_isolates_each_top_pair():
+    for h in range(1, 61):
+        cat = coxeter_catalogue(h)
+        for u in cat:
+            for v in cat:
+                if u == v:
+                    continue
+                w = coincidence._peeling_word(u, v)
+                assert len(w) <= 2, (u, v, w)
+                p = evaluate_word(w)
+                assert coincidence._top_degree_factors(p.left, h) == [u], (u, v, w)
+                assert coincidence._top_degree_factors(p.right, h) == [v], (u, v, w)
+
+
+def test_decompose_rejects_unreduced_pairs():
+    for left, right in (("A2", "B2"), ("A3", "A3"), ("A3xB2", "B2")):
+        with pytest.raises(NoPeelingElement):
+            decompose(CoincidencePair(parse_type(left), parse_type(right)))
 
 
 def test_decompose_round_trip_on_enumerated_pairs():

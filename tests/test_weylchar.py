@@ -69,9 +69,9 @@ def test_exceptional_rejects_classical():
         charpolys_exceptional(SimpleType("B", 3))
 
 
-def test_e6_double_cosets_match_full_chain():
-    e6 = SimpleType("E", 6)
-    assert charpolys_exceptional(e6).entries == charpolys_enumerated(e6).entries
+@pytest.mark.parametrize("t", [SimpleType("E", 6), SimpleType("E", 7)], ids=str)
+def test_e6_double_cosets_match_full_chain(t):
+    assert charpolys_exceptional(t).entries == charpolys_enumerated(t).entries
 
 
 def test_e7_routes_agree(e7_table):
