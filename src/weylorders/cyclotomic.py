@@ -8,6 +8,7 @@ All arithmetic is arbitrary-precision; nothing here touches floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import threading
@@ -181,15 +182,34 @@ class CycloProduct:
     def indices(self) -> Tuple[int, ...]:
         return tuple(d for d, _ in self.exps)
 
-    @property
+    @functools.cached_property
     def degree(self) -> int:
         return sum(t * euler_phi(d) for d, t in self.exps)
 
     def __mul__(self, other: "CycloProduct") -> "CycloProduct":
-        m = self.as_dict()
-        for d, t in other.exps:
-            m[d] = m.get(d, 0) + t
-        return CycloProduct.from_mapping(m)
+        # Both tuples are sorted by index, so merging them keeps the order,
+        # and exponents only add, so they stay positive: no re-check needed.
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
+        x, y = self.exps, other.exps
+        nx, ny = len(x), len(y)
+        out = []
+        i = j = 0
+        while i < nx and j < ny:
+            dx, dy = x[i][0], y[j][0]
+            if dx < dy:
+                out.append(x[i])
+                i += 1
+            elif dy < dx:
+                out.append(y[j])
+                j += 1
+            else:
+                out.append((dx, x[i][1] + y[j][1]))
+                i += 1
+                j += 1
+        return CycloProduct(tuple(out) + x[i:] + y[j:])
 
     def exact_div(self, other: "CycloProduct") -> "CycloProduct":
         m = self.as_dict()

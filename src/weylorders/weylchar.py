@@ -304,6 +304,11 @@ def _factor_into_cyclotomics(poly: IntPoly) -> CycloProduct:
     return CycloProduct.from_mapping(exps)
 
 
+# Elements of H multiplied at once in _chain_table: x.H and its powers are
+# formed slice by slice, so their memory does not grow with |H|.
+_SLICE = 1 << 16
+
+
 def _chain_table(t: SimpleType, node: Optional[int]) -> CharPolyTable:
     """Table of W summed over the double cosets of H = W_{S-node}.
 
@@ -332,8 +337,10 @@ def _chain_table(t: SimpleType, node: Optional[int]) -> CharPolyTable:
     elements, signs = _parabolic_elements(a, gens, sub)
     counts: Dict[Tuple[int, ...], int] = {}
     for x, d, weight in blocks:
-        for key, cnt in _class_keys(x @ elements, d * signs).items():
-            counts[key] = counts.get(key, 0) + weight * cnt
+        for lo in range(0, len(elements), _SLICE):
+            hi = lo + _SLICE
+            for key, cnt in _class_keys(x @ elements[lo:hi], d * signs[lo:hi]).items():
+                counts[key] = counts.get(key, 0) + weight * cnt
     entries: Dict[CycloProduct, int] = {}
     for key, cnt in counts.items():
         poly = _factor_into_cyclotomics(_charpoly(key, n))
@@ -362,9 +369,20 @@ def charpolys_exceptional(t: SimpleType) -> CharPolyTable:
 _table_memo: Dict[SimpleType, CharPolyTable] = {}
 _memo_lock = threading.Lock()
 
+# The prefix path: for the last type requested, one (factor table, product
+# table) pair per factor, where the product table is the convolution over
+# the factors up to and including that one.  The tuple is replaced in one
+# assignment, so a concurrent reader sees an old path or a new one, never a
+# half-built one; it holds at most as many tables as that type has factors.
+# A pair is reused only while its factor table is still the registry's, so
+# products of a table that seed_table has since replaced are never served.
+_path: Tuple[Tuple[CharPolyTable, CharPolyTable], ...] = ()
+_EMPTY = CharPolyTable(SemisimpleType(()), 1, {CycloProduct.one(): 1})
+
 
 def seed_table(table: CharPolyTable) -> None:
     """Install an externally obtained single-factor table (validated first)."""
+    global _path
     table.validate()
     if len(table.type_label.factors) != 1:
         raise ValueError("only single-factor tables can be seeded")
@@ -373,6 +391,7 @@ def seed_table(table: CharPolyTable) -> None:
         raise ValueError("group order does not match the type")
     with _memo_lock:
         _table_memo[t] = table
+        _path = ()
 
 
 def simple_table(t: SimpleType) -> CharPolyTable:
@@ -389,22 +408,40 @@ def simple_table(t: SimpleType) -> CharPolyTable:
     return _table_memo[t]
 
 
-def charpolys(t: SemisimpleType) -> CharPolyTable:
-    """Table for a semisimple type: convolution product over the factors."""
-    entries: Dict[CycloProduct, int] = {CycloProduct.one(): 1}
-    order = 1
-    for f in t.factors:
-        ft = simple_table(f)
-        merged: Dict[CycloProduct, int] = {}
-        for p1, c1 in entries.items():
-            for p2, c2 in ft.entries.items():
-                key = p1 * p2
-                merged[key] = merged.get(key, 0) + c1 * c2
-        entries = merged
-        order *= ft.group_order
-    table = CharPolyTable(t, order, entries)
+def _convolve(left: CharPolyTable, right: CharPolyTable, t: SemisimpleType) -> CharPolyTable:
+    entries: Dict[CycloProduct, int] = {}
+    for p1, c1 in left.entries.items():
+        for p2, c2 in right.entries.items():
+            key = p1 * p2
+            entries[key] = entries.get(key, 0) + c1 * c2
+    table = CharPolyTable(t, left.group_order * right.group_order, entries)
     table.validate()
     return table
+
+
+def charpolys(t: SemisimpleType) -> CharPolyTable:
+    """Table for a semisimple type: convolution product over the factors.
+
+    The longest prefix of t.factors on the prefix path, built from the factor
+    tables the registry holds now, is reused; only the remaining factors are
+    convolved, so a sweep that adds one factor per type does one convolution
+    per type, and a repeated request is a lookup.
+    """
+    global _path
+    path = list(_path[: len(t.factors)])
+    k = 0
+    while k < len(path) and path[k][0] is simple_table(t.factors[k]):
+        k += 1
+    del path[k:]
+    for f in t.factors[k:]:
+        ft = simple_table(f)
+        if path:
+            table = _convolve(path[-1][1], ft, SemisimpleType(t.factors[: len(path) + 1]))
+        else:
+            table = ft
+        path.append((ft, table))
+    _path = tuple(path)
+    return path[-1][1] if path else _EMPTY
 
 
 # --- invariants ---------------------------------------------------------------

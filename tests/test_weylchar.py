@@ -292,6 +292,101 @@ def test_concurrent_table_reads():
     assert orders == [48] * 6
 
 
+def _naive_charpolys(t):
+    """Factor-by-factor convolution of the registry tables, with products
+    formed from exponent dicts rather than CycloProduct multiplication."""
+    entries = {CycloProduct.one(): 1}
+    for f in t.factors:
+        merged = {}
+        for p1, c1 in entries.items():
+            for p2, c2 in weylchar.simple_table(f).entries.items():
+                exps = p1.as_dict()
+                for d, e in p2.exps:
+                    exps[d] = exps.get(d, 0) + e
+                key = CycloProduct.from_mapping(exps)
+                merged[key] = merged.get(key, 0) + c1 * c2
+        entries = merged
+    return entries
+
+
+def test_charpolys_matches_naive_convolution():
+    from weylorders.rootsystem import SemisimpleType, all_semisimple_types
+
+    rng = random.Random(11)
+    types = list(all_semisimple_types(6, "ABDGF"))
+    rng.shuffle(types)
+    requests = []
+    for t in types:
+        requests.append(t)
+        earlier = rng.choice(requests)
+        requests.append(earlier)  # a repeat
+        requests.append(SemisimpleType(earlier.factors[: rng.randint(1, len(earlier.factors))]))
+    for t in requests:
+        table = charpolys(t)
+        assert table.type_label == t
+        assert table.group_order == weyl_order(t)
+        assert table.entries == _naive_charpolys(t)
+        assert len(weylchar._path) == len(t.factors)
+
+
+def test_charpolys_repeat_is_a_lookup():
+    t = parse_type("A1xB2xG2")
+    assert charpolys(t) is charpolys(t)
+    prefix = weylchar._path[1][1]
+    assert prefix.type_label == parse_type("A1xB2")
+    assert charpolys(parse_type("A1xB2")) is prefix
+
+
+def test_charpolys_path_follows_seed_table():
+    t = parse_type("A1xG2")
+    first = charpolys(t)
+    g2 = SimpleType("G", 2)
+    seed_table(CharPolyTable(parse_type("G2"), 12, dict(weylchar.simple_table(g2).entries)))
+    second = charpolys(t)
+    assert second is not first
+    assert second.entries == first.entries
+    assert weylchar._path[1][0] is weylchar.simple_table(g2)
+
+
+def test_concurrent_prefix_path():
+    import sys
+    import threading
+
+    from weylorders.rootsystem import all_semisimple_types
+
+    types = list(all_semisimple_types(5))
+    expected = {t: dict(charpolys(t).entries) for t in types}
+    failures = []
+
+    def worker(seed):
+        order = list(types)
+        random.Random(seed).shuffle(order)
+        for t in order:
+            table = charpolys(t)
+            if table.type_label != t or table.entries != expected[t]:
+                failures.append(t)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert failures == []
+
+
+def test_sliced_double_cosets_match(monkeypatch):
+    whole = {t: charpolys_exceptional(t) for t in (SimpleType("F", 4), SimpleType("E", 6))}
+    monkeypatch.setattr(weylchar, "_SLICE", 25)  # |B3| = 48 and |D5| = 1920 end in a short slice
+    for t, table in whole.items():
+        assert weylchar._chain_table(t, table_parabolic(t)).entries == table.entries
+
+
 def test_e8_table_flow_with_seeded_table(monkeypatch, e8_table):
     """A seeded table serves every E8 path without being recomputed."""
     monkeypatch.setattr(weylchar, "_table_memo", {})
