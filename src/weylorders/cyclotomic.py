@@ -20,6 +20,7 @@ from .errors import FactorizationLimitError
 __all__ = [
     "IntPoly",
     "CycloProduct",
+    "max_exponents",
     "cyclotomic",
     "factor_power_minus_one",
     "eval_cyclo_product",
@@ -152,72 +153,109 @@ def cyclotomic(n: int) -> IntPoly:
     return _cyclo_cache[n]
 
 
-@dataclass(frozen=True)
-class CycloProduct:
-    """A product of cyclotomic polynomials, as sorted (index, multiplicity) pairs."""
+# Packed layout of a CycloProduct: slot d (bits _WIDTH*d and up) holds the
+# phi_d exponent and slot 0 holds the degree sum(e * phi(d)).  The top bit of
+# every slot is a guard that stays clear: every exponent is at most the
+# degree, so bounding the degree by _SLOT_MAX bounds every slot, and sums of
+# two such values never carry into the next slot.
+_WIDTH = 16
+_SLOT_MAX = (1 << (_WIDTH - 1)) - 1
+_SLOT_MASK = (1 << _WIDTH) - 1
+_GUARD = 1 << (_WIDTH - 1)
 
-    exps: Tuple[Tuple[int, int], ...]
+
+@functools.lru_cache(maxsize=64)
+def _guards(slots: int) -> int:
+    """The guard bits of slots 0 .. slots - 1."""
+    return ((1 << (_WIDTH * slots)) - 1) // _SLOT_MASK * _GUARD
+
+
+class CycloProduct:
+    """A product of cyclotomic polynomials packed into one integer.
+
+    Slot d of ``packed`` holds the phi_d exponent and slot 0 the degree, so
+    multiplying two products adds their packed integers.  Products compare
+    and hash by ``packed``, which is never reassigned.
+    """
+
+    __slots__ = ("packed",)
+
+    def __init__(self, packed: int):
+        self.packed = packed
 
     @staticmethod
     def from_mapping(m: Mapping[int, int]) -> "CycloProduct":
-        items = tuple(sorted((int(d), int(t)) for d, t in m.items() if t))
-        for d, t in items:
+        packed = degree = 0
+        for d, t in m.items():
+            d, t = int(d), int(t)
+            if not t:
+                continue
             if d < 1 or t < 1:
                 raise ValueError(f"bad cyclotomic factor phi_{d}^{t}")
-        return CycloProduct(items)
+            big = d > 2 * _SLOT_MAX**2  # then phi(d) >= sqrt(d / 2) > _SLOT_MAX
+            degree += 0 if big else t * euler_phi(d)
+            if big or degree > _SLOT_MAX:
+                raise ValueError(f"degree of the product exceeds {_SLOT_MAX}")
+            packed += t << (_WIDTH * d)
+        return CycloProduct(packed + degree)
 
     @staticmethod
     def one() -> "CycloProduct":
-        return CycloProduct(())
+        return CycloProduct(0)
+
+    @property
+    def exps(self) -> Tuple[Tuple[int, int], ...]:
+        """The (index, multiplicity) pairs, sorted by index."""
+        out = []
+        rest, d = self.packed >> _WIDTH, 1
+        while rest:
+            t = rest & _SLOT_MASK
+            if t:
+                out.append((d, t))
+            rest >>= _WIDTH
+            d += 1
+        return tuple(out)
 
     def as_dict(self) -> Dict[int, int]:
         return dict(self.exps)
 
     def exponent(self, d: int) -> int:
-        for e, t in self.exps:
-            if e == d:
-                return t
-        return 0
+        return (self.packed >> (_WIDTH * d)) & _SLOT_MASK if d > 0 else 0
 
     def indices(self) -> Tuple[int, ...]:
         return tuple(d for d, _ in self.exps)
 
-    @functools.cached_property
+    @property
     def degree(self) -> int:
-        return sum(t * euler_phi(d) for d, t in self.exps)
+        return self.packed & _SLOT_MASK
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CycloProduct):
+            return NotImplemented
+        return self.packed == other.packed
+
+    def __hash__(self) -> int:
+        return hash(self.packed)
+
+    def __repr__(self) -> str:
+        return f"CycloProduct({self})"
 
     def __mul__(self, other: "CycloProduct") -> "CycloProduct":
-        # Both tuples are sorted by index, so merging them keeps the order,
-        # and exponents only add, so they stay positive: no re-check needed.
-        if not other.exps:
-            return self
-        if not self.exps:
-            return other
-        x, y = self.exps, other.exps
-        nx, ny = len(x), len(y)
-        out = []
-        i = j = 0
-        while i < nx and j < ny:
-            dx, dy = x[i][0], y[j][0]
-            if dx < dy:
-                out.append(x[i])
-                i += 1
-            elif dy < dx:
-                out.append(y[j])
-                j += 1
-            else:
-                out.append((dx, x[i][1] + y[j][1]))
-                i += 1
-                j += 1
-        return CycloProduct(tuple(out) + x[i:] + y[j:])
+        if not isinstance(other, CycloProduct):
+            return NotImplemented
+        packed = self.packed + other.packed
+        if packed & _GUARD:
+            raise ValueError(f"degree of the product exceeds {_SLOT_MAX}")
+        return CycloProduct(packed)
 
     def exact_div(self, other: "CycloProduct") -> "CycloProduct":
-        m = self.as_dict()
-        for d, t in other.exps:
-            m[d] = m.get(d, 0) - t
-            if m[d] < 0:
-                raise ValueError(f"phi_{d}^{t} does not divide this product")
-        return CycloProduct.from_mapping(m)
+        # With every guard bit set on the left, a slot whose exponent would go
+        # negative borrows its own guard instead of the next slot's exponent.
+        guards = _guards(max(self.packed, other.packed).bit_length() // _WIDTH + 1)
+        diff = (self.packed | guards) - other.packed
+        if diff & guards != guards:
+            raise ValueError(f"{other} does not divide {self}")
+        return CycloProduct(diff ^ guards)
 
     def to_poly(self) -> IntPoly:
         out = IntPoly((1,))
@@ -228,11 +266,28 @@ class CycloProduct:
         return out
 
     def __str__(self) -> str:
-        if not self.exps:
+        if not self.packed:
             return "1"
         return "*".join(
             f"phi{d}" if t == 1 else f"phi{d}^{t}" for d, t in self.exps
         )
+
+
+def max_exponents(products: Iterable[CycloProduct]) -> Dict[int, int]:
+    """Largest exponent of each phi_d over the products, for every d present.
+
+    All slots are compared at once: with every guard bit set on the running
+    maximum, subtracting a product leaves a slot's guard set exactly where
+    the maximum's exponent is at least the product's.
+    """
+    packed = [p.packed for p in products]
+    guards = _guards(max(packed, default=0).bit_length() // _WIDTH + 1)
+    top = 0
+    for k in packed:
+        keep = ((top | guards) - k) & guards
+        keep -= keep >> (_WIDTH - 1)  # all bits of the slots where top is larger
+        top = k ^ ((top ^ k) & keep)
+    return CycloProduct(top).as_dict()
 
 
 def factor_power_minus_one(d: int) -> CycloProduct:

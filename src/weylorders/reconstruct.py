@@ -11,19 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
-from .cyclotomic import CycloProduct
+from .cyclotomic import CycloProduct, max_exponents
 from .errors import AmbiguousBlock, NotAWeylFamily
 from .rootsystem import (
     SemisimpleType,
     SimpleType,
     all_semisimple_types,
     coxeter_number,
+    degrees,
     render,
     types_with_degrees,
 )
-from .weylchar import CharPolyTable, charpolys, invariant_profile
+from .weylchar import CharPolyTable, charpolys, invariant_profile, simple_table
 
 __all__ = [
     "CharPolyFamily",
@@ -68,15 +69,6 @@ class CoxeterBlock:
     residual_dim: int
 
 
-def _max_exponents(fam: CharPolyFamily) -> Dict[int, int]:
-    a: Dict[int, int] = {}
-    for p in fam.polys:
-        for d, t in p.exps:
-            if t > a.get(d, 0):
-                a[d] = t
-    return a
-
-
 def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
     """Recover the degree multiset from maximal eigenvalue multiplicities.
 
@@ -85,7 +77,7 @@ def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
     """
     if fam.rank == 0:
         return ()
-    a = _max_exponents(fam)
+    a = max_exponents(fam.polys)
     top = max(a)
     mults: Dict[int, int] = {}
     for v in range(top, 1, -1):
@@ -106,9 +98,16 @@ def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
 
 def _predicted_family(
     factors: Tuple[SimpleType, ...], residual: FrozenSet[CycloProduct]
-) -> FrozenSet[CycloProduct]:
-    block = charpolys(SemisimpleType.of(*factors))
-    return frozenset(c * g for c in block.entries for g in residual)
+) -> Set[int]:
+    """Packed products of the block's polynomial set with the residual set.
+
+    The block's set is formed from the simple tables directly, leaving the
+    prefix path of charpolys to the type being swept.
+    """
+    block = {0}
+    for f in factors:
+        block = {b + p.packed for b in block for p in simple_table(f).entries}
+    return {b + g.packed for b in block for g in residual}
 
 
 def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]:
@@ -158,10 +157,8 @@ def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]
     if not covers:
         raise NotAWeylFamily(f"no factor multiset matches block degrees {block_degrees}")
     if len(covers) > 1:
-        covers = [
-            c for c in covers
-            if _predicted_family(c, residual) == fam.polys
-        ]
+        packed = {p.packed for p in fam.polys}
+        covers = [c for c in covers if _predicted_family(c, residual) == packed]
         if not covers:
             raise NotAWeylFamily("no candidate block is consistent with the family")
         if len(covers) > 1:
@@ -221,34 +218,61 @@ class DeterminationReport:
         }
 
 
+def _digest(polys: FrozenSet[CycloProduct]) -> int:
+    return hash(polys)
+
+
+def _earlier_equal(
+    seen: Dict[Hashable, List[SemisimpleType]],
+    key: Hashable,
+    t: SemisimpleType,
+    same_as: Callable[[SemisimpleType], bool],
+) -> Optional[SemisimpleType]:
+    """The earlier type filed under key for which same_as holds; when there
+    is none, t is filed under key and None is returned."""
+    bucket = seen.setdefault(key, [])
+    for other in bucket:
+        if same_as(other):
+            return other
+    bucket.append(t)
+    return None
+
+
 def verify_determination(
     rank_bound: int, alphabet: Iterable[str] = "ABDGFE"
 ) -> DeterminationReport:
     """Exhaustively verify that distinct types have distinct polynomial sets,
     that reconstruction round-trips, and that invariant profiles separate types.
+
+    Each type is filed under its degrees and a hash of its polynomial set (or
+    of its profile), so memory grows with the number of types, not with the
+    sizes of their sets; types filed under the same key are compared exactly,
+    their sets recomputed.
     """
     alphabet = "".join(sorted(set(alphabet)))
     report = DeterminationReport(rank_bound, alphabet)
-    seen_sets: Dict[FrozenSet[CycloProduct], SemisimpleType] = {}
-    seen_profiles: Dict[Tuple, SemisimpleType] = {}
+    seen_sets: Dict[Hashable, List[SemisimpleType]] = {}
+    seen_profiles: Dict[Hashable, List[SemisimpleType]] = {}
     for t in all_semisimple_types(rank_bound, alphabet):
         report.types_checked += 1
-        table = charpolys(t)
-        key = table.poly_set()
-        other = seen_sets.get(key)
+        degs = degrees(t)
+        polys = charpolys(t).poly_set()
+        other = _earlier_equal(
+            seen_sets, (degs, _digest(polys)), t,
+            lambda u: charpolys(u).poly_set() == polys,
+        )
         if other is not None:
             report.chset_collisions.append((render(other), render(t)))
-        else:
-            seen_sets[key] = t
 
-        got = reconstruct(CharPolyFamily(key, t.rank))
+        got = reconstruct(CharPolyFamily(polys, t.rank))
         if got != t:
             report.roundtrip_failures.append(f"{render(t)} -> {render(got)}")
 
         pkey = invariant_profile(t).key()
-        other = seen_profiles.get(pkey)
+        other = _earlier_equal(
+            seen_profiles, (degs, hash(pkey)), t,
+            lambda u: invariant_profile(u).key() == pkey,
+        )
         if other is not None:
             report.profile_collisions.append((render(other), render(t)))
-        else:
-            seen_profiles[pkey] = t
     return report

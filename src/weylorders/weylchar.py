@@ -54,6 +54,8 @@ class CharPolyTable:
 
     def validate(self) -> None:
         rank = self.type_label.rank
+        # built first: a rank beyond what a CycloProduct holds is refused here
+        ident = CycloProduct.from_mapping({1: rank} if rank else {})
         total = 0
         for poly, count in self.entries.items():
             if poly.degree != rank:
@@ -65,7 +67,6 @@ class CharPolyTable:
             raise ValueError(
                 f"counts sum to {total}, group order is {self.group_order}"
             )
-        ident = CycloProduct.from_mapping({1: rank} if rank else {})
         if ident not in self.entries:
             raise ValueError("identity polynomial missing from table")
 
@@ -409,11 +410,17 @@ def simple_table(t: SimpleType) -> CharPolyTable:
 
 
 def _convolve(left: CharPolyTable, right: CharPolyTable, t: SemisimpleType) -> CharPolyTable:
-    entries: Dict[CycloProduct, int] = {}
+    # Adding packed integers multiplies the products; validate() below
+    # rejects any sum whose degree slot overflowed.
+    counts: Dict[int, int] = {}
+    get = counts.get
+    rights = [(p.packed, c) for p, c in right.entries.items()]
     for p1, c1 in left.entries.items():
-        for p2, c2 in right.entries.items():
-            key = p1 * p2
-            entries[key] = entries.get(key, 0) + c1 * c2
+        k1 = p1.packed
+        for k2, c2 in rights:
+            key = k1 + k2
+            counts[key] = get(key, 0) + c1 * c2
+    entries = {CycloProduct(key): c for key, c in counts.items()}
     table = CharPolyTable(t, left.group_order * right.group_order, entries)
     table.validate()
     return table
@@ -540,14 +547,50 @@ class InvariantProfile:
         )
 
 
+# Per simple factor f: mu_i(f) at each index i with mu_i(f) > 0, mu'_i(f) at
+# those indices, and for each pair i < j of them the deficit
+# mu_i(f) + mu_j(f) - mu_{i,j}(f) where it is nonzero.  Every invariant adds
+# over factors, so mu_{i,j} of a product is mu_i + mu_j minus the deficits of
+# its factors at (i, j).
+_Parts = Tuple[Dict[int, int], Dict[int, int], Dict[Tuple[int, int], int]]
+_profile_parts: Dict[SimpleType, _Parts] = {}
+
+
+def _factor_profile(f: SimpleType) -> _Parts:
+    got = _profile_parts.get(f)
+    if got is not None:
+        return got
+    ft = SemisimpleType.of(f)
+    positive = sorted(ch_star(ft))
+    mus = {i: mu(ft, i) for i in positive}
+    primes = {i: _mu_prime_simple(f, i) for i in positive if i > 2}
+    deficits = {}
+    for a_idx, i in enumerate(positive):
+        for j in positive[a_idx + 1 :]:
+            deficit = mus[i] + mus[j] - _mu_joint_simple(f, i, j)
+            if deficit:
+                deficits[(i, j)] = deficit
+    _profile_parts[f] = got = (mus, primes, deficits)
+    return got
+
+
 def invariant_profile(t: SemisimpleType) -> InvariantProfile:
     bound = max(30, 2 * t.rank)
-    mu_map = {i: mu(t, i) for i in range(1, bound + 1)}
-    prime_map = {i: mu_prime(t, i) for i in range(3, bound + 1)}
+    parts = [_factor_profile(f) for f in t.factors]
+    mu_map = dict.fromkeys(range(1, bound + 1), 0)
+    prime_map = dict.fromkeys(range(3, bound + 1), 0)
+    for mus, primes, _ in parts:
+        for i, v in mus.items():
+            mu_map[i] += v
+        for i, v in primes.items():
+            prime_map[i] += v
     positive = [i for i in range(1, bound + 1) if mu_map[i] > 0]
     joint_map = {
-        (i, j): mu_joint(t, i, j)
+        (i, j): mu_map[i] + mu_map[j]
         for a_idx, i in enumerate(positive)
         for j in positive[a_idx + 1 :]
     }
+    for _, _, deficits in parts:
+        for pair, deficit in deficits.items():
+            joint_map[pair] -= deficit
     return InvariantProfile(t, bound, mu_map, prime_map, joint_map)

@@ -79,6 +79,49 @@ def test_cyclo_product_degree_and_division():
         p.exact_div(CycloProduct.from_mapping({5: 1}))
 
 
+def test_cyclo_product_decodes_at_the_edges():
+    p = CycloProduct.from_mapping({12: 1, 1: 3, 2: 2})
+    assert p.exps == ((1, 3), (2, 2), (12, 1))
+    assert p.as_dict() == {1: 3, 2: 2, 12: 1}
+    assert p.indices() == (1, 2, 12)
+    assert (p.degree, p.exponent(1), p.exponent(7), p.exponent(12)) == (9, 3, 0, 1)
+    assert str(p) == "phi1^3*phi2^2*phi12"
+    assert str(CycloProduct.one()) == "1" and CycloProduct.one().exps == ()
+    assert p.to_poly().degree == 9
+    q = CycloProduct.from_mapping({2: 1, 12: 2})
+    assert (p * q).as_dict() == {1: 3, 2: 3, 12: 3}
+    assert (p * q).exact_div(q) == p
+
+
+def test_cyclo_product_rejects_over_capacity():
+    top = (1 << 15) - 1
+    assert CycloProduct.from_mapping({1: top}).degree == top
+    for exps in ({1: top + 1}, {2: 1 << 15}, {1: 20000, 2: 20000}, {3: 20000},
+                 {10**30: 1}):
+        with pytest.raises(ValueError):
+            CycloProduct.from_mapping(exps)
+    half = CycloProduct.from_mapping({1: 20000})
+    with pytest.raises(ValueError):
+        half * half
+
+
+def test_cyclo_product_exact_div_rejects_borrows():
+    phi = {d: CycloProduct.from_mapping({d: 1}) for d in (1, 2, 3)}
+    with pytest.raises(ValueError):  # phi2 is missing from a middle slot
+        (phi[1] * phi[3]).exact_div(phi[2])
+    with pytest.raises(ValueError):  # the phi3 slot would absorb the borrow
+        phi[3].exact_div(phi[1] * phi[1])
+    with pytest.raises(ValueError):  # a slot above every slot of the dividend
+        phi[1].exact_div(phi[3])
+
+
+def test_cyclo_product_equality_is_by_type():
+    p = CycloProduct.from_mapping({2: 1})
+    assert p.__eq__(p.packed) is NotImplemented
+    assert p != p.packed and p == CycloProduct.from_mapping({2: 1})
+    assert p.__mul__(2) is NotImplemented
+
+
 def test_ord_p_power_diff_examples():
     assert ord_p_power_diff(3, 2, 1, 6) == 2  # 63 = 3^2 * 7
     assert ord_p_power_diff(7, 2, 1, 3) == 1

@@ -1,5 +1,7 @@
 import pytest
 
+from weylorders import reconstruct as reconstruct_module
+from weylorders import weylchar
 from weylorders.cyclotomic import CycloProduct
 from weylorders.errors import NotAWeylFamily
 from weylorders.reconstruct import (
@@ -9,7 +11,7 @@ from weylorders.reconstruct import (
     reconstruct,
     verify_determination,
 )
-from weylorders.rootsystem import SimpleType, parse_type, render
+from weylorders.rootsystem import SimpleType, all_semisimple_types, parse_type, render
 from weylorders.weylchar import charpolys
 
 
@@ -145,3 +147,53 @@ def test_verify_determination_report_shape():
     doc = report.to_json()
     assert doc["ok"] is True
     assert doc["types_checked"] == 5
+
+
+def test_sweep_convolves_once_per_product_type(monkeypatch):
+    calls = []
+    convolve = weylchar._convolve
+
+    def counted(left, right, t):
+        calls.append(t)
+        return convolve(left, right, t)
+
+    monkeypatch.setattr(weylchar, "_convolve", counted)
+    monkeypatch.setattr(weylchar, "_path", ())
+    report = verify_determination(8, alphabet="ABDGF")
+    assert report.ok
+    products = [t for t in all_semisimple_types(8, "ABDGF") if len(t.factors) > 1]
+    assert len(products) == 329
+    assert calls == products
+
+
+@pytest.mark.parametrize("expr", ["D4xG2xA1", "B3xB3xA2", "G2xG2xD4"])
+def test_reconstruct_certificate_is_a_lookup(monkeypatch, expr):
+    # each type has a block that two factor multisets cover, so it is screened
+    t = parse_type(expr)
+    table = charpolys(t)
+
+    def no_convolution(left, right, t):
+        raise AssertionError(f"{render(t)} was convolved again")
+
+    monkeypatch.setattr(weylchar, "_convolve", no_convolution)
+    assert reconstruct(CharPolyFamily.from_table(table)) == t
+    assert charpolys(t) is table
+
+
+def test_collision_check_recompares_equal_digests(monkeypatch):
+    monkeypatch.setattr(reconstruct_module, "_digest", lambda polys: 0)
+    report = verify_determination(4)
+    assert report.ok
+    assert report.chset_collisions == []
+
+
+def test_collision_check_reports_equal_sets(monkeypatch):
+    # A1xA3 and A2xB2 share their degrees 2, 2, 3, 4 but not their sets
+    a1a3, a2b2 = parse_type("A1xA3"), parse_type("A2xB2")
+
+    def forged(t):
+        return charpolys(a1a3 if t == a2b2 else t)
+
+    monkeypatch.setattr(reconstruct_module, "charpolys", forged)
+    report = verify_determination(4)
+    assert report.chset_collisions == [("A1xA3", "A2xB2")]

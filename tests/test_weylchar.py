@@ -256,6 +256,25 @@ def test_invariant_profile_bounds():
             assert v >= max(prof.mu[i], prof.mu[j])
 
 
+def test_invariant_profile_matches_direct_calls(e8_table):
+    from weylorders.rootsystem import all_semisimple_types
+
+    types = list(all_semisimple_types(8, "ABDGFE"))
+    assert len(types) == 360
+    for t in types:
+        bound = max(30, 2 * t.rank)
+        mus = {i: mu(t, i) for i in range(1, bound + 1)}
+        positive = [i for i in mus if mus[i]]
+        want = (
+            bound,
+            tuple(mus.items()),
+            tuple((i, mu_prime(t, i)) for i in range(3, bound + 1)),
+            tuple(((i, j), mu_joint(t, i, j))
+                  for i in positive for j in positive if i < j),
+        )
+        assert invariant_profile(t).key() == want, t
+
+
 def test_e8_profile_complete(e8_table):
     prof = invariant_profile(parse_type("E8"))
     assert set(prof.mu_prime) == set(range(3, 31))
