@@ -2,7 +2,8 @@
 
 Cyclotomic polynomials, the factorization of x^d - 1, evaluation at prime
 powers, valuation rules for a^n - b^n, and integer factorization utilities
-(trial division + Brent's rho with deterministic primality certification).
+(trial division by the 13 smallest primes, then Brent's rho, with
+deterministic primality certification).
 All arithmetic is arbitrary-precision; nothing here touches floating point.
 """
 
@@ -362,30 +363,10 @@ def p_contribution(m: int, p: int) -> int:
 
 # --- integer factorization -------------------------------------------------
 
-_TRIAL_LIMIT = 10**6
-_small_primes: list = []
-_sieve_lock = threading.Lock()
-
-
-def _trial_primes() -> list:
-    global _small_primes
-    if _small_primes:
-        return _small_primes
-    with _sieve_lock:
-        if _small_primes:
-            return _small_primes
-        sieve = bytearray([1]) * (_TRIAL_LIMIT + 1)
-        sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray((_TRIAL_LIMIT - i * i) // i + 1)
-        _small_primes = [i for i in range(2, _TRIAL_LIMIT + 1) if sieve[i]]
-    return _small_primes
-
-
-# Deterministic Miller-Rabin below this bound with the 13 smallest prime bases.
+# The 13 smallest primes: trial divisors, and the Miller-Rabin bases that are
+# deterministic below this bound.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -409,46 +390,32 @@ def is_prime(n: int) -> bool:
     """Primality with a deterministic certificate at desk scale.
 
     Below the proven Miller-Rabin bound the fixed 13-base test is exact;
-    above it a Pocklington certificate is built from a partial factorization
-    of n - 1.
+    above it a Pocklington certificate is built from the factorization of
+    n - 1, so n must be below 2^400 (``FACTOR_INPUT_LIMIT``).
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _SMALL_PRIMES:
         if n == p:
             return True
         if n % p == 0:
             return False
     if n < _MR_DETERMINISTIC_BOUND:
-        return all(_miller_rabin(n, b) for b in _MR_BASES)
-    if not all(_miller_rabin(n, b) for b in _MR_BASES):
+        return all(_miller_rabin(n, b) for b in _SMALL_PRIMES)
+    if not all(_miller_rabin(n, b) for b in _SMALL_PRIMES):
         return False
     return _pocklington(n)
 
 
 def _pocklington(n: int) -> bool:
-    """Certify primality of n via a factored part F > sqrt(n) of n - 1."""
-    m = n - 1
-    factored: Dict[int, int] = {}
-    f_part = 1
-    for p, e in factorize(m).items():
-        factored[p] = e
-        f_part *= p**e
-        if f_part * f_part > n:
-            break
-    if f_part * f_part <= n:
-        raise FactorizationLimitError(
-            f"cannot certify primality of {n}: factored part of n-1 too small"
-        )
-    for p in factored:
-        ok = False
+    """Certify primality of n by Pocklington's criterion on n - 1, factored whole."""
+    for p in factorize(n - 1):
         for a in range(2, 1000):
             if pow(a, n - 1, n) != 1:
                 return False
             if math.gcd(pow(a, (n - 1) // p, n) - 1, n) == 1:
-                ok = True
                 break
-        if not ok:
+        else:
             return False
     return True
 
@@ -486,7 +453,8 @@ def _brent_rho(n: int) -> int:
 def factorize(m: int) -> Dict[int, int]:
     """Full prime factorization of m >= 1 as {prime: exponent}.
 
-    Trial division up to 10^6, then rho splitting with certified primality.
+    Trial division by the 13 smallest primes, then rho splitting with
+    certified primality.
     Inputs at or beyond 2^400 are rejected (desk-scale guarantee).
     """
     if m < 1:
@@ -494,15 +462,11 @@ def factorize(m: int) -> Dict[int, int]:
     if m >= FACTOR_INPUT_LIMIT:
         raise FactorizationLimitError(f"input exceeds 2^400: {m.bit_length()} bits")
     out: Dict[int, int] = {}
-    for p in _trial_primes():
-        if p * p > m:
-            break
+    for p in _SMALL_PRIMES:
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
-    if m == 1:
-        return out
-    stack = [m]
+    stack = [m] if m > 1 else []
     while stack:
         v = stack.pop()
         if is_prime(v):

@@ -9,10 +9,11 @@ equality of degree multisets, which this module exploits and cross-checks.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .cyclotomic import factorize, is_prime, largest_prime_power_divisor
+from .cyclotomic import cyclotomic, factorize, is_prime
 from .errors import WeylOrdersError
 from .rootsystem import (
     SemisimpleType,
@@ -38,15 +39,37 @@ __all__ = [
 ]
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n, k >= 1: bisection finds the top bits of the root,
+    then Newton's method descends from just above it."""
+    s = (n.bit_length() - 1) // k  # 2^s <= root < 2^(s + 1)
+    e = max(s - 2 * k.bit_length(), 0)
+    lo, hi = 1 << (s - e), 1 << (s - e + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= n >> (k * e) else (lo, mid)
+    x = (lo + 1) << e
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
+def _prime_power(q: int) -> Optional[Tuple[int, int]]:
+    """(p, t) with q = p^t and p prime, or None: each integer t-th root of q
+    is tested, and q = r^t has a prime r for at most one t."""
+    for t in range(1, q.bit_length()):
+        r = _iroot(q, t)
+        if r**t == q and is_prime(r):
+            return r, t
+    return None
+
+
 def split_prime_power(q: int) -> Tuple[int, int]:
     """Write q = p^t with p prime, or raise."""
-    if q < 2:
+    pt = _prime_power(q)
+    if pt is None:
         raise WeylOrdersError(f"{q} is not a prime power")
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise WeylOrdersError(f"{q} is not a prime power")
-    [(p, t)] = fac.items()
-    return p, t
+    return pt
 
 
 @dataclass(frozen=True)
@@ -94,13 +117,17 @@ class ContributionWitness:
 
 
 def p_contribution_is_largest(t: SemisimpleType, q: int) -> Tuple[bool, ContributionWitness]:
-    """Compare q^N with the largest prime power dividing the rest of the order."""
+    """Compare q^N with the largest prime power dividing the rest of the order,
+    prod(q^d - 1), which is factored one cyclotomic value phi_e(q) at a time."""
     fo = order_factored(t, q)
     if fo.n_exp == 0:
         raise WeylOrdersError("empty type has no characteristic contribution")
     char_power = fo.q**fo.n_exp
-    rest = math.prod(fo.q**d - 1 for d in fo.degrees)
-    rp, re = largest_prime_power_divisor(rest)
+    rest: Dict[int, int] = {}
+    for e, c in Counter(e for d in fo.degrees for e in range(1, d + 1) if d % e == 0).items():
+        for r, k in factorize(cyclotomic(e)(fo.q)).items():
+            rest[r] = rest.get(r, 0) + c * k
+    rp, re = max(rest.items(), key=lambda pe: pe[0] ** pe[1])
     witness = ContributionWitness(fo.p, char_power, rp, rp**re)
     return char_power > witness.rival_power, witness
 
@@ -200,26 +227,33 @@ def recognize_order(
 ) -> List[Tuple[SemisimpleType, int]]:
     """All (type, q) with order m, of total rank <= rank_bound if one is given.
 
-    As q^N * prod(q^d - 1) has its product part prime to p, each prime p | m
-    with v = ord_p(m) and each N | v give q = p^(v/N) and R = m / q^N =
-    prod(q^d - 1) with sum(d - 1) = N.  R fixes the degrees: by Zsigmondy's
-    theorem each q^d - 1 (d >= 2) has a prime factor dividing no q^e - 1
-    with e < d, so the largest d <= N + 1 with (q^d - 1) | R is the top
-    degree, and the rest is peeled the same way.  The exceptions are 2^6 - 1,
-    where both "6 is a degree" and "it is not" are tried, and q^2 - 1 with
-    q + 1 a power of two, harmless as 2 is the smallest degree.  The types
-    come from ``types_with_degrees``; each is checked by exact evaluation.
+    m is never factored.  A type of dimension D = N + sum(d_i) = sum(2 d_i - 1)
+    has at most D // 3 degrees, so q^D (1 - q^-2)^(D // 3) <= m < q^D, and as
+    (1 - q^-2)^(1/3) > 1 - 1/q the one candidate is q = iroot(m, D) + 1;
+    q >= 2 gives 6^(D/3) <= m, so D <= 7/6 log2(m).  For a candidate q that
+    divides m and is a prime power, q^N is the largest power of q dividing m,
+    as the rest R = prod(q^d - 1) is prime to q.  R fixes the degrees: by
+    Zsigmondy's theorem each q^d - 1 (d >= 2) has a prime factor dividing no
+    q^e - 1 with e < d, so the largest d <= N + 1 with (q^d - 1) | R is the
+    top degree, and the rest is peeled the same way.  The exceptions are
+    2^6 - 1, where both "6 is a degree" and "it is not" are tried, and
+    q^2 - 1 with q + 1 a power of two, harmless as 2 is the smallest degree.
+    The types come from ``types_with_degrees``; each is checked by exact
+    evaluation.
     """
     if m < 2:
         raise WeylOrdersError("m must be >= 2")
     hits = []
-    for p, v in factorize(m).items():
-        for n_exp in (n for n in range(1, v + 1) if v % n == 0):
-            q = p ** (v // n_exp)
-            for degs in _peel_degrees(m // q**n_exp, q, n_exp, n_exp + 1):
-                hits += [
-                    (t, q) for t in types_with_degrees(degs)
-                    if (rank_bound is None or t.rank <= rank_bound) and order_value(t, q) == m
-                ]
+    for q in {_iroot(m, dim) + 1 for dim in range(3, m.bit_length() * 7 // 6 + 1)}:
+        if m % q or _prime_power(q) is None:
+            continue
+        n_exp, r = 0, m
+        while r % q == 0:
+            n_exp, r = n_exp + 1, r // q
+        for degs in _peel_degrees(r, q, n_exp, n_exp + 1):
+            hits += [
+                (t, q) for t in types_with_degrees(degs)
+                if (rank_bound is None or t.rank <= rank_bound) and order_value(t, q) == m
+            ]
     hits.sort(key=lambda tq: (render(tq[0]), tq[1]))
     return hits

@@ -145,6 +145,12 @@ def test_verify_prop_counter_suite_small(capsys):
     assert doc["ok"] and doc["checked"] == 60 and not doc["mismatches"]
 
 
+def test_verify_prop_counter_suite_rank_8(capsys):
+    # E8 over F_16: prod(q^d - 1) has 406 bits, above the factorization limit
+    doc = run_json(capsys, ["verify", "--suite", "prop-counter", "--max-rank", "8"])
+    assert doc["ok"] and not doc["mismatches"]
+
+
 def test_verify_compalg_suite(capsys):
     doc = run_json(capsys, ["verify", "--suite", "compalg"])
     assert doc["ok"] and not doc["failures"]

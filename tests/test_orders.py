@@ -1,10 +1,11 @@
 import math
 import random
+import time
 
 import pytest
 
 from weylorders.cyclotomic import factorize
-from weylorders.errors import WeylOrdersError
+from weylorders.errors import FactorizationLimitError, WeylOrdersError
 from weylorders.orders import (
     check_field_determination,
     in_exception_list,
@@ -27,7 +28,9 @@ from weylorders.rootsystem import (
 def test_split_prime_power():
     assert split_prime_power(9) == (3, 2)
     assert split_prime_power(8) == (2, 3)
-    for bad in (1, 6, 12, 100):
+    assert split_prime_power(2**500) == (2, 500)
+    assert split_prime_power((2**127 - 1) ** 4) == (2**127 - 1, 4)
+    for bad in (0, 1, 6, 12, 100):
         with pytest.raises(WeylOrdersError):
             split_prime_power(bad)
 
@@ -157,6 +160,47 @@ def test_recognize_matches_scan_oracle():
     assert len(pairs) == 1060
     for m in {order_value(t, q) for t, q in pairs}:
         assert recognize_order(m, 6) == _scan(m, types), m
+
+
+def test_recognize_matches_grid_oracle():
+    """Every order of a type of rank <= 8 over a prime power q <= 16, E8
+    included: 2,716 distinct orders, some at or above 2^400.  Recognition
+    restricted to q <= 16 must give the grid's inverse map."""
+    prime_powers = [q for q in range(2, 17) if _is_pp(q)]
+    grid = {}
+    for t in all_semisimple_types(8):
+        for q in prime_powers:
+            grid.setdefault(order_value(t, q), []).append((t, q))
+    assert len(grid) == 2716 and max(grid).bit_length() > 400
+    for m, pairs in grid.items():
+        hits = [(t, q) for t, q in recognize_order(m, 8) if q <= 16]
+        assert hits == sorted(pairs, key=lambda tq: (render(tq[0]), tq[1])), m
+
+
+@pytest.mark.parametrize(
+    "name, q",
+    [("A4xB5xD6xG2xF4xE8", 2), ("A1", 2**127 - 1), ("E8xE8xE8", 3)],
+    ids=["rank-30-F2", "A1-F_2^127-1", "E8xE8xE8-F3"],
+)
+def test_recognize_large_orders_fast(name, q):
+    """Orders above 2^400 or with a 127-bit q are recognised without
+    factoring them; the best of three runs takes under 0.1 s."""
+    m = order_value(parse_type(name), q)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        hits = recognize_order(m)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1, best
+    assert (parse_type(name), q) in hits
+    assert all(order_value(t, r) == m for t, r in hits)
+
+
+def test_recognize_uncertifiable_prime_raises():
+    # A1 over F_p with p = 2^521 - 1: certifying p factors p - 1, above 2^400
+    p = 2**521 - 1
+    with pytest.raises(FactorizationLimitError):
+        recognize_order(p * (p * p - 1))
 
 
 def test_recognize_random_round_trip():
