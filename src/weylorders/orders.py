@@ -239,13 +239,13 @@ def recognize_order(
     2^6 - 1, where both "6 is a degree" and "it is not" are tried, and
     q^2 - 1 with q + 1 a power of two, harmless as 2 is the smallest degree.
     The types come from ``types_with_degrees``; each is checked by exact
-    evaluation.
+    evaluation at the candidate's own q = p^e, so q is certified once.
     """
     if m < 2:
         raise WeylOrdersError("m must be >= 2")
     hits = []
     for q in {_iroot(m, dim) + 1 for dim in range(3, m.bit_length() * 7 // 6 + 1)}:
-        if m % q or _prime_power(q) is None:
+        if m % q or (pe := _prime_power(q)) is None:
             continue
         n_exp, r = 0, m
         while r % q == 0:
@@ -253,7 +253,8 @@ def recognize_order(
         for degs in _peel_degrees(r, q, n_exp, n_exp + 1):
             hits += [
                 (t, q) for t in types_with_degrees(degs)
-                if (rank_bound is None or t.rank <= rank_bound) and order_value(t, q) == m
+                if (rank_bound is None or t.rank <= rank_bound)
+                and FactoredOrder(*pe, positive_root_count(t), degrees(t)).value() == m
             ]
     hits.sort(key=lambda tq: (render(tq[0]), tq[1]))
     return hits

@@ -238,9 +238,9 @@ def _parabolic_elements(
     return mats, dets
 
 
-def _class_keys(mats: np.ndarray, dets: np.ndarray) -> Dict[Tuple[int, ...], int]:
-    """Distinct (p_1, ..., p_h, det) over a batch of n x n matrices, h = n // 2,
-    with their counts, where p_k = tr M^k.
+def _class_keys(mats: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """One int64 key per n x n matrix: (p_1, ..., p_h, det), h = n // 2, each
+    offset by n, as base-(2n + 1) digits, where p_k = tr M^k.
 
     Eigenvalues of a Weyl group element are closed under inversion, so
     e_{n-k} = det * e_k and these values fix the characteristic polynomial.
@@ -255,21 +255,19 @@ def _class_keys(mats: np.ndarray, dets: np.ndarray) -> Dict[Tuple[int, ...], int
     for k in range(2, half + 1):
         cols.append(np.einsum("nij,nji->n", powers[(k + 1) // 2 - 1], powers[k // 2 - 1]))
     cols.append(dets)
-    # Every column lies in [-n, n]: pack a row into one integer for np.unique.
     packed = np.zeros(len(mats), dtype=np.int64)
-    for col in cols:
+    for col in cols:  # every column lies in [-n, n]
         packed = packed * (2 * n + 1) + (col + n)
-    _, first, counts = np.unique(packed, return_index=True, return_counts=True)
-    rows = np.stack(cols, axis=1)[first].tolist()
-    return dict(zip(map(tuple, rows), counts.tolist()))
+    return packed
 
 
-def _charpoly(key: Tuple[int, ...], n: int) -> IntPoly:
-    """Characteristic polynomial from (p_1, ..., p_{n//2}, det), exactly.
+def _charpoly(key: int, n: int) -> IntPoly:
+    """Characteristic polynomial from a key of _class_keys, exactly.
 
     Newton's identities give e_1, ..., e_{n//2}; the rest is e_{n-k} = det * e_k.
     """
-    *power_sums, det = key
+    base = 2 * n + 1
+    *power_sums, det = [key // base**j % base - n for j in range(n // 2, -1, -1)]
     e = [1] + [0] * n
     for k in range(1, len(power_sums) + 1):
         acc = 0
@@ -305,11 +303,6 @@ def _factor_into_cyclotomics(poly: IntPoly) -> CycloProduct:
     return CycloProduct.from_mapping(exps)
 
 
-# Elements of H multiplied at once in _chain_table: x.H and its powers are
-# formed slice by slice, so their memory does not grow with |H|.
-_SLICE = 1 << 16
-
-
 def _chain_table(t: SimpleType, node: Optional[int]) -> CharPolyTable:
     """Table of W summed over the double cosets of H = W_{S-node}.
 
@@ -335,12 +328,16 @@ def _chain_table(t: SimpleType, node: Optional[int]) -> CharPolyTable:
                 orbit = _orbit_walk(a, gens, sub, mu)[0]
                 covered.update(orbit)
                 blocks.append((x, d, len(orbit)))
-    elements, signs = _parabolic_elements(a, gens, sub)
-    counts: Dict[Tuple[int, ...], int] = {}
+    # H = R.K over its last chain step (_parabolic_elements): K = W_{sub[:-1]},
+    # R the orbit of omega_{sub[-1]}.  x.H is walked as x.r.K, so memory
+    # follows |K|, not |H|.  At rank 1 sub is empty and the walk gives R = {1}.
+    k_mats, k_signs = _parabolic_elements(a, gens, sub[:-1])
+    _, r_mats, r_signs = _orbit_walk(a, gens, sub, _fundamental_weight(n, (sub or [top])[-1]))
+    counts: Dict[int, int] = {}
     for x, d, weight in blocks:
-        for lo in range(0, len(elements), _SLICE):
-            hi = lo + _SLICE
-            for key, cnt in _class_keys(x @ elements[lo:hi], d * signs[lo:hi]).items():
+        for xr, s in zip(x @ r_mats, d * r_signs):
+            keys, cnts = np.unique(_class_keys(xr @ k_mats, s * k_signs), return_counts=True)
+            for key, cnt in zip(keys.tolist(), cnts.tolist()):
                 counts[key] = counts.get(key, 0) + weight * cnt
     entries: Dict[CycloProduct, int] = {}
     for key, cnt in counts.items():
@@ -393,6 +390,8 @@ def seed_table(table: CharPolyTable) -> None:
     with _memo_lock:
         _table_memo[t] = table
         _path = ()
+        for invariants in (_mu_prime_cache, _mu_joint_cache, _profile_parts):
+            invariants.clear()
 
 
 def simple_table(t: SimpleType) -> CharPolyTable:

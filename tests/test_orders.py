@@ -196,6 +196,22 @@ def test_recognize_large_orders_fast(name, q):
     assert all(order_value(t, r) == m for t, r in hits)
 
 
+def test_recognize_certifies_q_once(monkeypatch):
+    # certifying p = 2^127 - 1 factors p - 1; each hit reuses the candidate's (p, e)
+    from weylorders import cyclotomic
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(cyclotomic, "factorize", counted)
+    p = 2**127 - 1
+    assert (parse_type("A1"), p) in recognize_order(p * (p * p - 1))
+    assert calls == [p - 1]
+
+
 def test_recognize_uncertifiable_prime_raises():
     # A1 over F_p with p = 2^521 - 1: certifying p factors p - 1, above 2^400
     p = 2**521 - 1

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -399,11 +400,33 @@ def test_concurrent_prefix_path():
     assert failures == []
 
 
-def test_sliced_double_cosets_match(monkeypatch):
-    whole = {t: charpolys_exceptional(t) for t in (SimpleType("F", 4), SimpleType("E", 6))}
-    monkeypatch.setattr(weylchar, "_SLICE", 25)  # |B3| = 48 and |D5| = 1920 end in a short slice
-    for t, table in whole.items():
-        assert weylchar._chain_table(t, table_parabolic(t)).entries == table.entries
+def test_double_cosets_match_at_every_node(small_exceptional_tables):
+    # every maximal parabolic H = R.K, so K runs from trivial (G2) to D4 (E6 via D5)
+    for name, table in small_exceptional_tables.items():
+        t = parse_type(name).factors[0]
+        for node in range(t.rank):
+            assert weylchar._chain_table(t, node).entries == table.entries, (name, node)
+
+
+def test_double_cosets_memory_bounded_by_k():
+    # E7 via E6 = R.D5: the traced peak follows |D5| = 1,920, not |E6| = 51,840
+    tracemalloc.start()
+    try:
+        weylchar._chain_table(SimpleType("E", 7), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+def test_seed_table_resets_invariants(monkeypatch):
+    for name in ("_table_memo", "_mu_prime_cache", "_mu_joint_cache", "_profile_parts"):
+        monkeypatch.setattr(weylchar, name, dict(getattr(weylchar, name)))
+    g2 = parse_type("G2")
+    assert mu_joint(g2, 2, 6) == invariant_profile(g2).mu_joint[(2, 6)] == 2
+    # passes validate(), but no element has e_2 + e_6 = 2
+    seed_table(CharPolyTable(g2, 12, {cp(d1=2): 1, cp(d1=1, d2=1): 7, cp(d3=1): 2, cp(d6=1): 2}))
+    assert mu_joint(g2, 2, 6) == invariant_profile(g2).mu_joint[(2, 6)] == 1
 
 
 def test_e8_table_flow_with_seeded_table(monkeypatch, e8_table):
