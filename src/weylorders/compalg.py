@@ -5,12 +5,18 @@ a prime field with at least five elements.  The octonion product follows the
 vector-matrix construction; hermitian 3x3 octonion matrices with the product
 (XY + YX)/2 realize the Jordan algebra, whose quadratic form is computed
 both from the trace and from its explicit expansion.
+
+Products run on integer coordinates: the values over F_p, the numerators
+over a common denominator over Q.  Each output coordinate is reduced or
+turned into a Fraction once.  The form gamma may be given as plain ints;
+they become field elements when the element is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Callable, List, Tuple
 
@@ -131,6 +137,7 @@ class PrimeField:
 class RationalField:
     """The rationals, with exact Fraction scalars."""
 
+    p = 0  # the characteristic, as PrimeField.p
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -144,12 +151,6 @@ class RationalField:
 
 
 Mat2 = Tuple  # (a, b, c, d) for [[a, b], [c, d]]
-
-
-def _m_mul(x: Mat2, y: Mat2) -> Mat2:
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _m_add(x: Mat2, y: Mat2) -> Mat2:
@@ -188,22 +189,51 @@ class Octonion:
         return a
 
 
-def _check_same_field(a, b) -> None:
-    sa, sb = a, b
-    if isinstance(sa, Fp) != isinstance(sb, Fp):
-        raise FieldMismatch("operands live in different coefficient fields")
-    if isinstance(sa, Fp) and sa.p != sb.p:
-        raise FieldMismatch(f"mixed fields F_{sa.p} and F_{sb.p}")
+def _raw(coords) -> Tuple[int, int, List[int]]:
+    """(p, d, ints): the field of coords (p, or 0 for Q), a common denominator
+    d (1 over F_p) and the coordinates as integers over it.  The field is the
+    one of the first coordinate; ints are rationals, never elements of F_p."""
+    first = coords[0]
+    if isinstance(first, Fp):
+        p = first.p
+        ints = [c.value for c in coords if type(c) is Fp and c.p == p]
+        if len(ints) == len(coords):
+            return p, 1, ints
+    elif all(isinstance(c, (int, Fraction)) for c in coords):
+        d = lcm(*[c.denominator for c in coords])
+        return 0, d, [c.numerator * (d // c.denominator) for c in coords]
+    raise FieldMismatch("coordinates from different coefficient fields")
+
+
+def _wrap(p, d, ints) -> Octonion:
+    """The octonion with coordinates ints / d, each reduced once."""
+    c = [Fp(v, p) for v in ints] if p else [Fraction(v, d) for v in ints]
+    return Octonion(tuple(c[:4]), tuple(c[4:]))
+
+
+def _omul(a, b) -> Tuple[int, ...]:
+    """(x, y)(u, v) = (xu + adj(v) y, v x + y adj(u)) on two 8-tuples of ints."""
+    x0, x1, x2, x3, y0, y1, y2, y3 = a
+    u0, u1, u2, u3, v0, v1, v2, v3 = b
+    return (
+        x0 * u0 + x1 * u2 + v3 * y0 - v1 * y2,
+        x0 * u1 + x1 * u3 + v3 * y1 - v1 * y3,
+        x2 * u0 + x3 * u2 - v2 * y0 + v0 * y2,
+        x2 * u1 + x3 * u3 - v2 * y1 + v0 * y3,
+        v0 * x0 + v1 * x2 + y0 * u3 - y1 * u2,
+        v0 * x1 + v1 * x3 - y0 * u1 + y1 * u0,
+        v2 * x0 + v3 * x2 + y2 * u3 - y3 * u2,
+        v2 * x1 + v3 * x3 - y2 * u1 + y3 * u0,
+    )
 
 
 def oct_mul(a: Octonion, b: Octonion) -> Octonion:
     """Vector-matrix product (x, y)(u, v) = (xu + adj(v) y, v x + y adj(u))."""
-    _check_same_field(a.x[0], b.x[0])
-    x, y, u, v = a.x, a.y, b.x, b.y
-    return Octonion(
-        _m_add(_m_mul(x, u), _m_mul(_m_adj(v), y)),
-        _m_add(_m_mul(v, x), _m_mul(y, _m_adj(u))),
-    )
+    p, d, ra = _raw(a.x + a.y)
+    q, e, rb = _raw(b.x + b.y)
+    if p != q:
+        raise FieldMismatch("operands live in different coefficient fields")
+    return _wrap(p, d * e, _omul(ra, rb))
 
 
 def oct_norm(a: Octonion):
@@ -273,20 +303,16 @@ class AlbertElement:
     gamma: Tuple
 
     def __post_init__(self):
-        g = self.gamma
-        if len(g) != 3 or not all(g):
-            raise ValueError("gamma must be three nonzero scalars")
-        for i in range(3):
-            if self.m[i][i].scalar_part_or_none() is None:
-                raise ValueError("diagonal entries must be scalars")
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                # m[j][i] = gamma_j^{-1} gamma_i conj(m[i][j])
-                expect = oct_scale(g[i] / g[j], oct_conj(self.m[i][j]))
-                if self.m[j][i] != expect:
-                    raise ValueError("matrix is not fixed by the involution")
+        p, _, e = _raw_albert(self)
+        gamma, g = _in_field(p, self.gamma)
+        object.__setattr__(self, "gamma", gamma)
+        if not all(_is_scalar(e[4 * i], p) for i in range(3)):
+            raise ValueError("diagonal entries must be scalars")
+        for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+            # m[j][i] = gamma_j^{-1} gamma_i conj(m[i][j]), times gamma_j
+            diff = [g[j] * u - g[i] * v for u, v in zip(e[3 * j + i], _conj(e[3 * i + j]))]
+            if any(_mod(diff, p)):
+                raise ValueError("matrix is not fixed by the involution")
 
     def diag(self) -> Tuple:
         return tuple(self.m[i][i].scalar_part_or_none() for i in range(3))
@@ -297,11 +323,18 @@ def albert_from_coords(field, gamma, xs, cs) -> AlbertElement:
     (three diagonal scalars and three octonions)."""
     x1, x2, x3 = xs
     c1, c2, c3 = cs
-    g1, g2, g3 = gamma
-    row1 = (oct_scalar(field, x1), c3, oct_scale(g3 / g1, oct_conj(c2)))
-    row2 = (oct_scale(g1 / g2, oct_conj(c3)), oct_scalar(field, x2), c1)
-    row3 = (c2, oct_scale(g2 / g3, oct_conj(c1)), oct_scalar(field, x3))
-    return AlbertElement((row1, row2, row3), tuple(gamma))
+    p = field.p
+    gamma, g = _in_field(p, gamma)
+
+    def mirror(i, j, c):  # gamma_i / gamma_j conj(c), the entry across from c
+        _, d, n = _raw(c.x + c.y)
+        r, d = (g[i] * pow(g[j], -1, p), 1) if p else (g[i], d * g[j])
+        return _wrap(p, d, [r * v for v in _conj(n)])
+
+    row1 = (oct_scalar(field, x1), c3, mirror(2, 0, c2))
+    row2 = (mirror(0, 1, c3), oct_scalar(field, x2), c1)
+    row3 = (c2, mirror(1, 2, c1), oct_scalar(field, x3))
+    return AlbertElement((row1, row2, row3), gamma)
 
 
 def albert_identity(field, gamma) -> AlbertElement:
@@ -323,17 +356,42 @@ def idempotent_u(field, gamma) -> AlbertElement:
     return albert_from_coords(field, gamma, (z, z, o), (zo, zo, zo))
 
 
-def _assoc_mul(x: AlbertElement, y: AlbertElement):
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = oct_mul(x.m[i][0], y.m[0][j])
-            acc = oct_add(acc, oct_mul(x.m[i][1], y.m[1][j]))
-            acc = oct_add(acc, oct_mul(x.m[i][2], y.m[2][j]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _in_field(p, gamma):
+    """gamma as elements of F_p (Q for p = 0), ints converted, and as
+    integers over a common denominator."""
+    gamma = tuple((Fp(g, p) if p else Fraction(g)) if isinstance(g, int) else g for g in gamma)
+    if len(gamma) != 3 or not all(gamma):
+        raise ValueError("gamma must be three nonzero scalars")
+    q, _, ints = _raw(gamma)
+    if q != p:
+        raise FieldMismatch("gamma and the entries live in different fields")
+    return gamma, ints
+
+
+def _raw_albert(x: AlbertElement):
+    """_raw over all 72 coordinates, split into the nine entries row by row."""
+    p, d, r = _raw([c for row in x.m for o in row for c in o.x + o.y])
+    return p, d, [r[k:k + 8] for k in range(0, 72, 8)]
+
+
+def _conj(n):
+    return (n[3], -n[1], -n[2], n[0], -n[4], -n[5], -n[6], -n[7])
+
+
+def _mod(ints, p):
+    return [v % p for v in ints] if p else ints
+
+
+def _is_scalar(n, p) -> bool:
+    n = _mod(n, p)
+    return n[0] == n[3] and not any(n[1:3]) and not any(n[4:])
+
+
+def _assoc_mul(rx, ry, i, j) -> List[int]:
+    """Entry (i, j) of the matrix product of two _raw_albert entry lists: the
+    three octonion products summed in ints."""
+    a, b, c = (_omul(rx[3 * i + k], ry[3 * k + j]) for k in range(3))
+    return [u + v + w for u, v, w in zip(a, b, c)]
 
 
 def albert_add(x: AlbertElement, y: AlbertElement) -> AlbertElement:
@@ -350,38 +408,37 @@ def albert_scale(s, x: AlbertElement) -> AlbertElement:
 
 
 def _check_albert_compat(x: AlbertElement, y: AlbertElement) -> None:
+    # gamma lies in the field of the entries, so one gamma means one field
     if x.gamma != y.gamma:
         raise FieldMismatch("elements built for different gamma forms")
-    _check_same_field(x.m[0][0].x[0], y.m[0][0].x[0])
 
 
 def albert_mul(x: AlbertElement, y: AlbertElement) -> AlbertElement:
     """Jordan product (XY + YX) / 2; the result is hermitian again."""
     _check_albert_compat(x, y)
-    one = x.gamma[0] / x.gamma[0]
-    half = one / (one + one)
-    xy = _assoc_mul(x, y)
-    yx = _assoc_mul(y, x)
-    rows = tuple(
-        tuple(oct_scale(half, oct_add(xy[i][j], yx[i][j])) for j in range(3))
-        for i in range(3)
-    )
-    return AlbertElement(rows, x.gamma)
+    p, d, rx = _raw_albert(x)
+    _, e, ry = _raw_albert(y)
+    # 1/2 is (p + 1) / 2 over F_p and a factor 2 of the denominator over Q
+    h, d = ((p + 1) // 2, 1) if p else (1, 2 * d * e)
+
+    def entry(i, j):
+        xy, yx = _assoc_mul(rx, ry, i, j), _assoc_mul(ry, rx, i, j)
+        return _wrap(p, d, [(u + v) * h for u, v in zip(xy, yx)])
+
+    return AlbertElement(tuple(tuple(entry(i, j) for j in range(3)) for i in range(3)), x.gamma)
 
 
 def albert_q(x: AlbertElement):
     """The quadratic form tr(X^2)/2, cross-checked against its expansion."""
+    p, d, r = _raw_albert(x)
+    square = [_assoc_mul(r, r, i, i) for i in range(3)]
+    if not all(_is_scalar(s, p) for s in square):
+        raise AssertionError("diagonal of the square is not scalar")
+    trace = sum(s[0] for s in square)
+    via_trace = Fp(trace * ((p + 1) // 2), p) if p else Fraction(trace, 2 * d * d)
+
     one = x.gamma[0] / x.gamma[0]
     half = one / (one + one)
-    square = _assoc_mul(x, x)
-    scalars = []
-    for i in range(3):
-        s = square[i][i].scalar_part_or_none()
-        if s is None:
-            raise AssertionError("diagonal of the square is not scalar")
-        scalars.append(s)
-    via_trace = half * (scalars[0] + scalars[1] + scalars[2])
-
     g1, g2, g3 = x.gamma
     x1, x2, x3 = x.diag()
     c1, c2, c3 = x.m[1][2], x.m[2][0], x.m[0][1]
@@ -418,10 +475,9 @@ def e0_basis(field, gamma=None) -> E0Space:
     killed by u; the form evaluates to x^2 - N(c)."""
     o = field.one
     default = (o, -o, o)
-    if gamma is None:
-        gamma = default
-    if tuple(gamma) != default:
+    if gamma is not None and _in_field(field.p, gamma)[0] != default:
         raise ValueError("the rank-1 configuration requires gamma = (1, -1, 1)")
+    gamma = default
 
     zo = oct_zero(field)
     z = field.zero

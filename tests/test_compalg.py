@@ -133,6 +133,21 @@ def test_field_mismatch_rejected():
     c = random_octonion(RationalField(), random.Random(1))
     with pytest.raises(FieldMismatch):
         oct_mul(a, c)
+    # every coordinate is checked; an int is a rational, never an element of F_p
+    for bad in (Fraction(1, 2), 3, Fp(1, 11)):
+        mixed = Octonion(a.x, a.y[:2] + (bad,) + a.y[3:])
+        with pytest.raises(FieldMismatch):
+            oct_mul(a, mixed)
+        with pytest.raises(FieldMismatch):
+            oct_mul(mixed, a)
+    with_int = Octonion(c.x[:1] + (2,) + c.x[2:], c.y)
+    assert oct_mul(with_int, c) == oct_mul(Octonion(c.x[:1] + (Fraction(2),) + c.x[2:], c.y), c)
+    field = PrimeField(7)
+    X = _random_albert(field, (field.one, -field.one, field.one), random.Random(1))
+    rows = [list(r) for r in X.m]
+    rows[0][0] = Octonion((3,) + rows[0][0].x[1:3] + (3,), rows[0][0].y)
+    with pytest.raises(FieldMismatch):
+        AlbertElement(tuple(tuple(r) for r in rows), X.gamma)
 
 
 def test_albert_construction_validates():
@@ -183,6 +198,90 @@ def test_jordan_over_rationals_with_general_gamma():
         Y = _random_albert(field, gamma, rng)
         assert albert_mul(X, Y) == albert_mul(Y, X)
         albert_q(X)
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("gamma", [(1, -1, 1), (1, -2, 3)])
+def test_integer_gamma_is_exact(field, gamma):
+    as_field = tuple(field.from_int(g) for g in gamma)
+    rng = random.Random(17)
+    for _ in range(10):
+        xs = tuple(field.random(rng) for _ in range(3))
+        cs = tuple(random_octonion(field, rng) for _ in range(3))
+        X, Xf = (albert_from_coords(field, g, xs, cs) for g in (gamma, as_field))
+        assert X == Xf and X.gamma == as_field
+        Y = _random_albert(field, as_field, rng)
+        assert albert_mul(X, Y) == albert_mul(Xf, Y)
+        assert albert_q(X) == albert_q(Xf)
+    if gamma == (1, -1, 1):
+        space = e0_basis(field, gamma)
+        assert space.basis == e0_basis(field).basis
+        c, x = random_octonion(field, rng), field.random(rng)
+        assert space.form(x, c) == x * x - oct_norm(c)
+
+
+def _reference_oct_mul(a, b):
+    """(x, y)(u, v) = (xu + adj(v) y, v x + y adj(u)) by scalar field operations."""
+
+    def mul(m, n):
+        p, q, r, s = m
+        t, u, v, w = n
+        return (p * t + q * v, p * u + q * w, r * t + s * v, r * u + s * w)
+
+    def add(m, n):
+        return tuple(s + t for s, t in zip(m, n))
+
+    def adj(m):
+        return (m[3], -m[1], -m[2], m[0])
+
+    x, y, u, v = a.x, a.y, b.x, b.y
+    return Octonion(add(mul(x, u), mul(adj(v), y)), add(mul(v, x), mul(y, adj(u))))
+
+
+def _reference_jordan(field, X, Y):
+    """(XY + YX) / 2, entry by entry, from _reference_oct_mul."""
+
+    def entry(A, B, i, j):
+        acc = oct_zero(field)
+        for k in range(3):
+            acc = oct_add(acc, _reference_oct_mul(A.m[i][k], B.m[k][j]))
+        return acc
+
+    half = field.one / field.from_int(2)
+    return tuple(
+        tuple(oct_scale(half, oct_add(entry(X, Y, i, j), entry(Y, X, i, j))) for j in range(3))
+        for i in range(3)
+    )
+
+
+def _assert_in_field(field, coords):
+    if isinstance(field, PrimeField):
+        assert all(type(c) is Fp and c.p == field.p and 0 <= c.value < field.p for c in coords)
+    else:
+        assert all(type(c) is Fraction for c in coords)
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(7), PrimeField(11)], ids=["Q", "F7", "F11"])
+def test_oct_mul_matches_scalar_reference(field):
+    rng = random.Random(2718)
+    for _ in range(200):
+        a, b = random_octonion(field, rng), random_octonion(field, rng)
+        ab = oct_mul(a, b)
+        assert ab == _reference_oct_mul(a, b)
+        _assert_in_field(field, ab.x + ab.y)
+
+
+@pytest.mark.parametrize(
+    "field,gamma", [(PrimeField(7), (1, -1, 1)), (RationalField(), (1, -2, 3))], ids=["F7", "Q"]
+)
+def test_albert_mul_matches_naive_jordan_product(field, gamma):
+    gamma = tuple(field.from_int(g) for g in gamma)
+    rng = random.Random(1618)
+    for _ in range(50):
+        X, Y = _random_albert(field, gamma, rng), _random_albert(field, gamma, rng)
+        XY = albert_mul(X, Y)
+        assert XY.m == _reference_jordan(field, X, Y)
+        _assert_in_field(field, [c for row in XY.m for o in row for c in o.x + o.y])
 
 
 def test_gamma_mismatch_rejected():
