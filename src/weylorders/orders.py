@@ -174,20 +174,6 @@ class FieldDeterminationReport:
             return True  # nothing to determine
         return bool(self.q_equal and self.degrees_equal)
 
-    def to_json(self) -> Dict:
-        return {
-            "t1": self.t1,
-            "q1": self.q1,
-            "t2": self.t2,
-            "q2": self.q2,
-            "order1": str(self.order1),
-            "order2": str(self.order2),
-            "orders_equal": self.orders_equal,
-            "q_equal": self.q_equal,
-            "degrees_equal": self.degrees_equal,
-            "ok": self.ok,
-        }
-
 
 def check_field_determination(
     t1: SemisimpleType, q1: int, t2: SemisimpleType, q2: int

@@ -69,6 +69,11 @@ class CharPolyTable:
             )
         if ident not in self.entries:
             raise ValueError("identity polynomial missing from table")
+        if self.group_order != weyl_order(self.type_label):
+            raise ValueError(
+                f"group order {self.group_order} is not the "
+                f"reflection-group order {weyl_order(self.type_label)}"
+            )
 
     def poly_set(self) -> FrozenSet[CycloProduct]:
         return frozenset(self.entries)
@@ -367,31 +372,27 @@ def charpolys_exceptional(t: SimpleType) -> CharPolyTable:
 _table_memo: Dict[SimpleType, CharPolyTable] = {}
 _memo_lock = threading.Lock()
 
-# The prefix path: for the last type requested, one (factor table, product
-# table) pair per factor, where the product table is the convolution over
-# the factors up to and including that one.  The tuple is replaced in one
-# assignment, so a concurrent reader sees an old path or a new one, never a
-# half-built one; it holds at most as many tables as that type has factors.
-# A pair is reused only while its factor table is still the registry's, so
-# products of a table that seed_table has since replaced are never served.
-_path: Tuple[Tuple[CharPolyTable, CharPolyTable], ...] = ()
+# The prefix path: for the last type requested, the product table over its
+# first k + 1 factors at index k.  The tuple is replaced in one assignment,
+# so a concurrent reader sees an old path or a new one, never a half-built
+# one.
+_path: Tuple[CharPolyTable, ...] = ()
 _EMPTY = CharPolyTable(SemisimpleType(()), 1, {CycloProduct.one(): 1})
 
 
 def seed_table(table: CharPolyTable) -> None:
-    """Install an externally obtained single-factor table (validated first)."""
-    global _path
+    """Install an externally obtained single-factor table (validated first).
+
+    The registry is write-once: seeding the table already installed for a
+    type does nothing, and seeding a different one raises ValueError.
+    """
     table.validate()
     if len(table.type_label.factors) != 1:
         raise ValueError("only single-factor tables can be seeded")
     t = table.type_label.factors[0]
-    if table.group_order != weyl_order(t):
-        raise ValueError("group order does not match the type")
     with _memo_lock:
-        _table_memo[t] = table
-        _path = ()
-        for invariants in (_mu_prime_cache, _mu_joint_cache, _profile_parts):
-            invariants.clear()
+        if _table_memo.setdefault(t, table) != table:
+            raise ValueError(f"a different table of {t} is already installed")
 
 
 def simple_table(t: SimpleType) -> CharPolyTable:
@@ -428,26 +429,23 @@ def _convolve(left: CharPolyTable, right: CharPolyTable, t: SemisimpleType) -> C
 def charpolys(t: SemisimpleType) -> CharPolyTable:
     """Table for a semisimple type: convolution product over the factors.
 
-    The longest prefix of t.factors on the prefix path, built from the factor
-    tables the registry holds now, is reused; only the remaining factors are
-    convolved, so a sweep that adds one factor per type does one convolution
-    per type, and a repeated request is a lookup.
+    The longest prefix of t.factors on the prefix path is reused; only the
+    remaining factors are convolved, so a sweep that adds one factor per type
+    does one convolution per type, and a repeated request is a lookup.
     """
     global _path
     path = list(_path[: len(t.factors)])
     k = 0
-    while k < len(path) and path[k][0] is simple_table(t.factors[k]):
+    while k < len(path) and path[k].type_label.factors == t.factors[: k + 1]:
         k += 1
     del path[k:]
     for f in t.factors[k:]:
-        ft = simple_table(f)
+        table = simple_table(f)
         if path:
-            table = _convolve(path[-1][1], ft, SemisimpleType(t.factors[: len(path) + 1]))
-        else:
-            table = ft
-        path.append((ft, table))
+            table = _convolve(path[-1], table, SemisimpleType(t.factors[: len(path) + 1]))
+        path.append(table)
     _path = tuple(path)
-    return path[-1][1] if path else _EMPTY
+    return path[-1] if path else _EMPTY
 
 
 # --- invariants ---------------------------------------------------------------
@@ -472,22 +470,11 @@ def mu(t: SemisimpleType, i: int) -> int:
     return sum(1 for d in degrees(t) if d % i == 0)
 
 
-_mu_prime_cache: Dict[Tuple[SimpleType, int], int] = {}
-_mu_joint_cache: Dict[Tuple[SimpleType, int, int], int] = {}
-
-
 def _mu_prime_simple(f: SimpleType, i: int) -> int:
-    got = _mu_prime_cache.get((f, i))
-    if got is not None:
-        return got
     top = mu(SemisimpleType.of(f), i)
     if top == 0:
-        value = 0
-    else:
-        table = simple_table(f)
-        value = min(p.exponent(2) for p in table.entries if p.exponent(i) == top)
-    _mu_prime_cache[(f, i)] = value
-    return value
+        return 0
+    return min(p.exponent(2) for p in simple_table(f).entries if p.exponent(i) == top)
 
 
 def mu_prime(t: SemisimpleType, i: int) -> int:
@@ -498,20 +485,11 @@ def mu_prime(t: SemisimpleType, i: int) -> int:
 
 
 def _mu_joint_simple(f: SimpleType, i: int, j: int) -> int:
-    got = _mu_joint_cache.get((f, i, j))
-    if got is not None:
-        return got
     ft = SemisimpleType.of(f)
     mi, mj = mu(ft, i), mu(ft, j)
-    if mi == 0:
-        value = mj
-    elif mj == 0:
-        value = mi
-    else:
-        table = simple_table(f)
-        value = max(p.exponent(i) + p.exponent(j) for p in table.entries)
-    _mu_joint_cache[(f, i, j)] = value
-    return value
+    if mi == 0 or mj == 0:
+        return mi + mj
+    return max(p.exponent(i) + p.exponent(j) for p in simple_table(f).entries)
 
 
 def mu_joint(t: SemisimpleType, i: int, j: int) -> int:

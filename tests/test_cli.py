@@ -95,9 +95,23 @@ def test_reconstruct_command(capsys, tmp_path):
 
 
 def test_coincide_command(capsys):
-    doc = run_json(capsys, ["coincide", "--factors", "2", "--max-rank", "4"])
+    doc = run_json(capsys, ["coincide", "--max-rank", "4"])
     assert {"left": "A1xA3", "right": "A2xB2"} in doc["pairs"]
     assert run(["coincide", "--factors", "3", "--max-rank", "4"]) == 2
+
+
+def test_max_rank_zero_is_a_usage_error(capsys):
+    # not the suite's default bound
+    assert run(["verify", "--suite", "pairs", "--max-rank", "0"]) == 2
+    assert run(["coincide", "--max-rank", "0"]) == 2
+    assert run(["recognize", "--order", "720", "--max-rank", "0"]) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_max_rank_negative_is_a_usage_error(capsys):
+    # not a determination sweep over no types
+    assert run(["verify", "--suite", "determination", "--max-rank", "-2"]) == 2
+    assert "positive integer" in capsys.readouterr().err
 
 
 def test_decompose_command(capsys):

@@ -352,20 +352,9 @@ def test_charpolys_matches_naive_convolution():
 def test_charpolys_repeat_is_a_lookup():
     t = parse_type("A1xB2xG2")
     assert charpolys(t) is charpolys(t)
-    prefix = weylchar._path[1][1]
+    prefix = weylchar._path[1]
     assert prefix.type_label == parse_type("A1xB2")
     assert charpolys(parse_type("A1xB2")) is prefix
-
-
-def test_charpolys_path_follows_seed_table():
-    t = parse_type("A1xG2")
-    first = charpolys(t)
-    g2 = SimpleType("G", 2)
-    seed_table(CharPolyTable(parse_type("G2"), 12, dict(weylchar.simple_table(g2).entries)))
-    second = charpolys(t)
-    assert second is not first
-    assert second.entries == first.entries
-    assert weylchar._path[1][0] is weylchar.simple_table(g2)
 
 
 def test_concurrent_prefix_path():
@@ -419,21 +408,42 @@ def test_double_cosets_memory_bounded_by_k():
     assert peak < 8 * 2**20, peak
 
 
-def test_seed_table_resets_invariants(monkeypatch):
-    for name in ("_table_memo", "_mu_prime_cache", "_mu_joint_cache", "_profile_parts"):
+def test_seed_table_is_write_once(monkeypatch):
+    for name in ("_table_memo", "_profile_parts"):
         monkeypatch.setattr(weylchar, name, dict(getattr(weylchar, name)))
+    monkeypatch.setattr(weylchar, "_path", ())
     g2 = parse_type("G2")
-    assert mu_joint(g2, 2, 6) == invariant_profile(g2).mu_joint[(2, 6)] == 2
+    table = weylchar.simple_table(g2.factors[0])
+    seed_table(CharPolyTable(g2, 12, dict(table.entries)))  # equal: a no-op
+    assert weylchar._table_memo[g2.factors[0]] is table
+    charpolys(parse_type("A1xG2"))
+    memo, path, profile = dict(weylchar._table_memo), weylchar._path, invariant_profile(g2)
+    assert mu_joint(g2, 2, 6) == profile.mu_joint[(2, 6)] == 2
     # passes validate(), but no element has e_2 + e_6 = 2
-    seed_table(CharPolyTable(g2, 12, {cp(d1=2): 1, cp(d1=1, d2=1): 7, cp(d3=1): 2, cp(d6=1): 2}))
-    assert mu_joint(g2, 2, 6) == invariant_profile(g2).mu_joint[(2, 6)] == 1
+    forged = CharPolyTable(g2, 12, {cp(d1=2): 1, cp(d1=1, d2=1): 7, cp(d3=1): 2, cp(d6=1): 2})
+    forged.validate()
+    with pytest.raises(ValueError, match="G2"):
+        seed_table(forged)
+    assert weylchar._table_memo == memo
+    assert weylchar._table_memo[g2.factors[0]] is table
+    assert weylchar._path is path
+    assert mu_joint(g2, 2, 6) == 2
+    assert invariant_profile(g2) == profile
+
+
+def test_validate_checks_the_reflection_group_order():
+    # counts sum to the stated order, which is not the order of the type
+    b2 = charpolys_classical(SimpleType("B", 2))
+    for label in ("G2", "A1xA1"):
+        table = CharPolyTable(parse_type(label), 8, b2.entries)
+        with pytest.raises(ValueError, match="reflection-group order"):
+            table.validate()
 
 
 def test_e8_table_flow_with_seeded_table(monkeypatch, e8_table):
     """A seeded table serves every E8 path without being recomputed."""
     monkeypatch.setattr(weylchar, "_table_memo", {})
-    monkeypatch.setattr(weylchar, "_mu_prime_cache", {})
-    monkeypatch.setattr(weylchar, "_mu_joint_cache", {})
+    monkeypatch.setattr(weylchar, "_path", ())
 
     def no_enumeration(t):
         raise AssertionError(f"{t} was enumerated instead of read from the registry")
