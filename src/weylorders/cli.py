@@ -211,11 +211,15 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     raw = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    polys = frozenset(
-        CycloProduct.from_mapping({int(d): int(t) for d, t in entry.items()})
-        for entry in raw["polys"]
-    )
-    fam = reconstruct.CharPolyFamily(polys, int(raw["rank"]))
+    try:
+        polys = frozenset(
+            CycloProduct.from_mapping({int(d): int(t) for d, t in entry.items()})
+            for entry in raw["polys"]
+        )
+        rank = int(raw["rank"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{args.input}: malformed family file ({exc!r})")
+    fam = reconstruct.CharPolyFamily(polys, rank)
     t = reconstruct.reconstruct(fam)
     _emit({"type": render(t), "rank": t.rank}, f"reconstructed {render(t)}")
     return 0

@@ -21,6 +21,7 @@ from .errors import FactorizationLimitError
 __all__ = [
     "IntPoly",
     "CycloProduct",
+    "pairwise_products",
     "max_exponents",
     "cyclotomic",
     "factor_power_minus_one",
@@ -171,18 +172,18 @@ def _guards(slots: int) -> int:
     return ((1 << (_WIDTH * slots)) - 1) // _SLOT_MASK * _GUARD
 
 
-class CycloProduct:
-    """A product of cyclotomic polynomials packed into one integer.
+class CycloProduct(int):
+    """A product of cyclotomic polynomials: an int in a packed layout.
 
-    Slot d of ``packed`` holds the phi_d exponent and slot 0 the degree, so
-    multiplying two products adds their packed integers.  Products compare
-    and hash by ``packed``, which is never reassigned.
+    Slot d holds the phi_d exponent and slot 0 the degree, so multiplying two
+    products adds the integers, and products hash and compare as ints.  Only
+    this module does integer arithmetic on products; elsewhere they are
+    built by ``from_mapping`` and combined by ``*``, ``exact_div`` and
+    ``pairwise_products``.  A product's truth value is meaningless: ``one()``
+    is 0.
     """
 
-    __slots__ = ("packed",)
-
-    def __init__(self, packed: int):
-        self.packed = packed
+    __slots__ = ()
 
     @staticmethod
     def from_mapping(m: Mapping[int, int]) -> "CycloProduct":
@@ -208,7 +209,7 @@ class CycloProduct:
     def exps(self) -> Tuple[Tuple[int, int], ...]:
         """The (index, multiplicity) pairs, sorted by index."""
         out = []
-        rest, d = self.packed >> _WIDTH, 1
+        rest, d = self >> _WIDTH, 1
         while rest:
             t = rest & _SLOT_MASK
             if t:
@@ -221,39 +222,35 @@ class CycloProduct:
         return dict(self.exps)
 
     def exponent(self, d: int) -> int:
-        return (self.packed >> (_WIDTH * d)) & _SLOT_MASK if d > 0 else 0
+        return (self >> (_WIDTH * d)) & _SLOT_MASK if d > 0 else 0
 
     def indices(self) -> Tuple[int, ...]:
         return tuple(d for d, _ in self.exps)
 
     @property
     def degree(self) -> int:
-        return self.packed & _SLOT_MASK
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycloProduct):
-            return NotImplemented
-        return self.packed == other.packed
-
-    def __hash__(self) -> int:
-        return hash(self.packed)
+        return self & _SLOT_MASK
 
     def __repr__(self) -> str:
         return f"CycloProduct({self})"
 
     def __mul__(self, other: "CycloProduct") -> "CycloProduct":
+        # Raising rather than returning NotImplemented keeps p * 2 and 2 * p
+        # from falling through to integer multiplication.
         if not isinstance(other, CycloProduct):
-            return NotImplemented
-        packed = self.packed + other.packed
+            raise TypeError(f"cannot multiply a cyclotomic product by {type(other).__name__}")
+        packed = int(self) + other
         if packed & _GUARD:
             raise ValueError(f"degree of the product exceeds {_SLOT_MAX}")
         return CycloProduct(packed)
 
+    __rmul__ = __mul__
+
     def exact_div(self, other: "CycloProduct") -> "CycloProduct":
         # With every guard bit set on the left, a slot whose exponent would go
         # negative borrows its own guard instead of the next slot's exponent.
-        guards = _guards(max(self.packed, other.packed).bit_length() // _WIDTH + 1)
-        diff = (self.packed | guards) - other.packed
+        guards = _guards(max(self, other).bit_length() // _WIDTH + 1)
+        diff = (self | guards) - other
         if diff & guards != guards:
             raise ValueError(f"{other} does not divide {self}")
         return CycloProduct(diff ^ guards)
@@ -267,11 +264,33 @@ class CycloProduct:
         return out
 
     def __str__(self) -> str:
-        if not self.packed:
-            return "1"
         return "*".join(
             f"phi{d}" if t == 1 else f"phi{d}^{t}" for d, t in self.exps
-        )
+        ) or "1"
+
+
+def pairwise_products(
+    left: Mapping[CycloProduct, int], right: Mapping[CycloProduct, int]
+) -> Dict[CycloProduct, int]:
+    """Every product p * q over p in left and q in right, with count
+    left[p] * right[q] summed over the pairs that give one product.
+
+    The packed integers are added and each distinct sum is wrapped once.  No
+    pair's degree exceeds the largest degrees' sum, so checking that sum
+    keeps every slot of every sum below its guard.
+    """
+    # the largest degree (slot 0) on each side, summed
+    degree = sum(max(map(_SLOT_MASK.__and__, m), default=0) for m in (left, right))
+    if degree > _SLOT_MAX:
+        raise ValueError(f"degree of the product exceeds {_SLOT_MAX}")
+    counts: Dict[int, int] = {}
+    get = counts.get
+    rights = list(right.items())
+    for p, c1 in left.items():
+        for q, c2 in rights:
+            key = p + q
+            counts[key] = get(key, 0) + c1 * c2
+    return dict(zip(map(CycloProduct, counts), counts.values()))
 
 
 def max_exponents(products: Iterable[CycloProduct]) -> Dict[int, int]:
@@ -281,7 +300,7 @@ def max_exponents(products: Iterable[CycloProduct]) -> Dict[int, int]:
     maximum, subtracting a product leaves a slot's guard set exactly where
     the maximum's exponent is at least the product's.
     """
-    packed = [p.packed for p in products]
+    packed = list(products)
     guards = _guards(max(packed, default=0).bit_length() // _WIDTH + 1)
     top = 0
     for k in packed:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Tuple
 
-from .cyclotomic import CycloProduct, max_exponents
-from .errors import AmbiguousBlock, NotAWeylFamily
+from .cyclotomic import CycloProduct, max_exponents, pairwise_products
+from .errors import AmbiguousBlock, NotAWeylFamily, WeylOrdersError
 from .rootsystem import (
     SemisimpleType,
     SimpleType,
@@ -98,16 +98,16 @@ def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
 
 def _predicted_family(
     factors: Tuple[SimpleType, ...], residual: FrozenSet[CycloProduct]
-) -> Set[int]:
-    """Packed products of the block's polynomial set with the residual set.
+) -> AbstractSet[CycloProduct]:
+    """Products of the block's polynomial set with the residual set.
 
     The block's set is formed from the simple tables directly, leaving the
     prefix path of charpolys to the type being swept.
     """
-    block = {0}
+    block = {CycloProduct.one(): 1}
     for f in factors:
-        block = {b + p.packed for b in block for p in simple_table(f).entries}
-    return {b + g.packed for b in block for g in residual}
+        block = pairwise_products(block, simple_table(f).entries)
+    return pairwise_products(block, dict.fromkeys(residual, 1)).keys()
 
 
 def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]:
@@ -157,8 +157,7 @@ def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]
     if not covers:
         raise NotAWeylFamily(f"no factor multiset matches block degrees {block_degrees}")
     if len(covers) > 1:
-        packed = {p.packed for p in fam.polys}
-        covers = [c for c in covers if _predicted_family(c, residual) == packed]
+        covers = [c for c in covers if _predicted_family(c, residual) == fam.polys]
         if not covers:
             raise NotAWeylFamily("no candidate block is consistent with the family")
         if len(covers) > 1:
@@ -218,61 +217,40 @@ class DeterminationReport:
         }
 
 
-def _digest(polys: FrozenSet[CycloProduct]) -> int:
-    return hash(polys)
-
-
-def _earlier_equal(
-    seen: Dict[Hashable, List[SemisimpleType]],
-    key: Hashable,
-    t: SemisimpleType,
-    same_as: Callable[[SemisimpleType], bool],
-) -> Optional[SemisimpleType]:
-    """The earlier type filed under key for which same_as holds; when there
-    is none, t is filed under key and None is returned."""
-    bucket = seen.setdefault(key, [])
-    for other in bucket:
-        if same_as(other):
-            return other
-    bucket.append(t)
-    return None
-
-
 def verify_determination(
     rank_bound: int, alphabet: Iterable[str] = "ABDGFE"
 ) -> DeterminationReport:
     """Exhaustively verify that distinct types have distinct polynomial sets,
     that reconstruction round-trips, and that invariant profiles separate types.
 
-    Each type is filed under its degrees and a hash of its polynomial set (or
-    of its profile), so memory grows with the number of types, not with the
-    sizes of their sets; types filed under the same key are compared exactly,
-    their sets recomputed.
+    Set collisions come from the round trips.  reconstruct is a function of
+    the set and returns a type only if that type's set is the input, so a
+    type t that comes back as u != t shares its set with u: (u, t) is a
+    collision, and when k swept types share one set at least k - 1 of them
+    report it.  A round trip that raises is reported and the sweep goes on.
+    Profiles are filed under the degrees and a hash of the profile, so
+    memory grows with the number of types; types filed under the same key
+    are compared exactly, their profiles recomputed.
     """
     alphabet = "".join(sorted(set(alphabet)))
     report = DeterminationReport(rank_bound, alphabet)
-    seen_sets: Dict[Hashable, List[SemisimpleType]] = {}
-    seen_profiles: Dict[Hashable, List[SemisimpleType]] = {}
+    seen_profiles: Dict[Tuple, List[SemisimpleType]] = {}
     for t in all_semisimple_types(rank_bound, alphabet):
         report.types_checked += 1
-        degs = degrees(t)
-        polys = charpolys(t).poly_set()
-        other = _earlier_equal(
-            seen_sets, (degs, _digest(polys)), t,
-            lambda u: charpolys(u).poly_set() == polys,
-        )
-        if other is not None:
-            report.chset_collisions.append((render(other), render(t)))
-
-        got = reconstruct(CharPolyFamily(polys, t.rank))
-        if got != t:
-            report.roundtrip_failures.append(f"{render(t)} -> {render(got)}")
+        try:
+            got = reconstruct(CharPolyFamily(charpolys(t).poly_set(), t.rank))
+        except WeylOrdersError as exc:
+            report.roundtrip_failures.append(f"{render(t)}: {exc}")
+        else:
+            if got != t:
+                report.chset_collisions.append((render(got), render(t)))
+                report.roundtrip_failures.append(f"{render(t)} -> {render(got)}")
 
         pkey = invariant_profile(t).key()
-        other = _earlier_equal(
-            seen_profiles, (degs, hash(pkey)), t,
-            lambda u: invariant_profile(u).key() == pkey,
-        )
-        if other is not None:
+        bucket = seen_profiles.setdefault((degrees(t), hash(pkey)), [])
+        other = next((u for u in bucket if invariant_profile(u).key() == pkey), None)
+        if other is None:
+            bucket.append(t)
+        else:
             report.profile_collisions.append((render(other), render(t)))
     return report

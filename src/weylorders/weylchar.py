@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .cyclotomic import CycloProduct, IntPoly, cyclotomic, euler_phi
+from .cyclotomic import CycloProduct, IntPoly, cyclotomic, euler_phi, pairwise_products
 from .rootsystem import (
     EXCEPTIONAL,
     SemisimpleType,
@@ -410,17 +410,7 @@ def simple_table(t: SimpleType) -> CharPolyTable:
 
 
 def _convolve(left: CharPolyTable, right: CharPolyTable, t: SemisimpleType) -> CharPolyTable:
-    # Adding packed integers multiplies the products; validate() below
-    # rejects any sum whose degree slot overflowed.
-    counts: Dict[int, int] = {}
-    get = counts.get
-    rights = [(p.packed, c) for p, c in right.entries.items()]
-    for p1, c1 in left.entries.items():
-        k1 = p1.packed
-        for k2, c2 in rights:
-            key = k1 + k2
-            counts[key] = get(key, 0) + c1 * c2
-    entries = {CycloProduct(key): c for key, c in counts.items()}
+    entries = pairwise_products(left.entries, right.entries)
     table = CharPolyTable(t, left.group_order * right.group_order, entries)
     table.validate()
     return table

@@ -94,6 +94,18 @@ def test_reconstruct_command(capsys, tmp_path):
     assert doc["type"] == "B2"
 
 
+@pytest.mark.parametrize(
+    "doc", ['{"rank": 1}', '{"polys": 5, "rank": 1}', "[1]", '{"polys": [[1]], "rank": 1}']
+)
+def test_reconstruct_rejects_malformed_family_file(capsys, tmp_path, doc):
+    path = tmp_path / "family.json"
+    path.write_text(doc)
+    assert run(["reconstruct", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed family file (")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_coincide_command(capsys):
     doc = run_json(capsys, ["coincide", "--max-rank", "4"])
     assert {"left": "A1xA3", "right": "A2xB2"} in doc["pairs"]

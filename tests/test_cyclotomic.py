@@ -17,6 +17,7 @@ from weylorders.cyclotomic import (
     largest_prime_power_divisor,
     ord_p_power_diff,
     p_contribution,
+    pairwise_products,
 )
 from weylorders.errors import FactorizationLimitError
 
@@ -116,10 +117,25 @@ def test_cyclo_product_exact_div_rejects_borrows():
 
 
 def test_cyclo_product_equality_is_by_type():
+    # a product is its packed integer: it equals and hashes as that int
     p = CycloProduct.from_mapping({2: 1})
-    assert p.__eq__(p.packed) is NotImplemented
-    assert p != p.packed and p == CycloProduct.from_mapping({2: 1})
-    assert p.__mul__(2) is NotImplemented
+    assert isinstance(p, int)
+    assert p == int(p) and hash(p) == hash(int(p))
+    assert {int(p): "x"}[p] == "x"
+    for bad in (lambda: p * 2, lambda: 2 * p):
+        with pytest.raises(TypeError):
+            bad()
+    assert str(CycloProduct.one()) == "1"
+
+
+def test_pairwise_products_multiplies_counts():
+    phi = {d: CycloProduct.from_mapping({d: 1}) for d in (1, 2)}
+    got = pairwise_products({phi[1]: 2, phi[2]: 3}, {phi[1]: 5, phi[2]: 7})
+    assert got == {phi[1] * phi[1]: 10, phi[1] * phi[2]: 14 + 15, phi[2] * phi[2]: 21}
+    assert all(type(k) is CycloProduct for k in got)
+    half = CycloProduct.from_mapping({1: 20000})
+    with pytest.raises(ValueError):
+        pairwise_products({half: 1}, {CycloProduct.one(): 1, half: 1})
 
 
 def test_ord_p_power_diff_examples():

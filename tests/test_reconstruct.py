@@ -3,7 +3,7 @@ import pytest
 from weylorders import reconstruct as reconstruct_module
 from weylorders import weylchar
 from weylorders.cyclotomic import CycloProduct
-from weylorders.errors import NotAWeylFamily
+from weylorders.errors import AmbiguousBlock, NotAWeylFamily
 from weylorders.reconstruct import (
     CharPolyFamily,
     degrees_from_family,
@@ -180,13 +180,6 @@ def test_reconstruct_certificate_is_a_lookup(monkeypatch, expr):
     assert charpolys(t) is table
 
 
-def test_collision_check_recompares_equal_digests(monkeypatch):
-    monkeypatch.setattr(reconstruct_module, "_digest", lambda polys: 0)
-    report = verify_determination(4)
-    assert report.ok
-    assert report.chset_collisions == []
-
-
 def test_collision_check_reports_equal_sets(monkeypatch):
     # A1xA3 and A2xB2 share their degrees 2, 2, 3, 4 but not their sets
     a1a3, a2b2 = parse_type("A1xA3"), parse_type("A2xB2")
@@ -197,3 +190,20 @@ def test_collision_check_reports_equal_sets(monkeypatch):
     monkeypatch.setattr(reconstruct_module, "charpolys", forged)
     report = verify_determination(4)
     assert report.chset_collisions == [("A1xA3", "A2xB2")]
+
+
+def test_round_trip_that_raises_is_reported(monkeypatch):
+    b3g2 = parse_type("B3xG2")
+    genuine = reconstruct_module.reconstruct
+
+    def failing(fam):
+        got = genuine(fam)
+        if got == b3g2:
+            raise AmbiguousBlock("forged ambiguity")
+        return got
+
+    monkeypatch.setattr(reconstruct_module, "reconstruct", failing)
+    report = verify_determination(5, alphabet="ABG")
+    assert report.roundtrip_failures == ["B3xG2: forged ambiguity"]
+    assert not report.ok
+    assert report.types_checked == len(list(all_semisimple_types(5, "ABG")))
