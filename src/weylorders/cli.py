@@ -42,21 +42,9 @@ def _cache_path(dir_: Path, type_label: str) -> Path:
 def cache_store(table: CharPolyTable, dir_: os.PathLike) -> Path:
     """Atomically write a single-factor table as JSON."""
     table.validate()
-    label = render(table.type_label)
-    payload = {
-        "version": CACHE_VERSION,
-        "type_label": label,
-        "group_order": str(table.group_order),
-        "entries": [
-            {
-                "exps": {str(d): t for d, t in poly.exps},
-                "count": str(count),
-            }
-            for poly, count in sorted(
-                table.entries.items(), key=lambda kv: kv[0].exps
-            )
-        ],
-    }
+    payload = _table_json(table)
+    label = payload["type_label"] = payload.pop("type")
+    payload["version"] = CACHE_VERSION
     dir_ = Path(dir_)
     dir_.mkdir(parents=True, exist_ok=True)
     target = _cache_path(dir_, label)
@@ -90,11 +78,9 @@ def cache_load(type_label: str, dir_: os.PathLike) -> Optional[CharPolyTable]:
         order = int(payload["group_order"])
         entries: Dict[CycloProduct, int] = {}
         for item in payload["entries"]:
-            poly = CycloProduct.from_mapping(
-                {int(d): int(v) for d, v in item["exps"].items()}
-            )
+            poly = _poly_from_json(item["exps"])
             entries[poly] = entries.get(poly, 0) + int(item["count"])
-    except (KeyError, ValueError, TypeError, TypeParseError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, TypeParseError) as exc:
         raise CacheInvalid(f"{path}: malformed cache payload ({exc})")
     table = CharPolyTable(t, order, entries)
     try:
@@ -131,6 +117,13 @@ def _emit(doc, summary: str) -> None:
 
 def _poly_json(poly: CycloProduct) -> Dict[str, int]:
     return {str(d): t for d, t in poly.exps}
+
+
+def _poly_from_json(exps: Dict[str, int]) -> CycloProduct:
+    """The inverse of _poly_json; an exponent must be a JSON integer."""
+    if any(type(t) is not int for t in exps.values()):
+        raise TypeError(f"exponents must be integers: {exps}")
+    return CycloProduct.from_mapping({int(d): t for d, t in exps.items()})
 
 
 def _table_json(table: CharPolyTable) -> Dict:
@@ -212,11 +205,10 @@ def _cmd_invariants(args) -> int:
 def _cmd_reconstruct(args) -> int:
     raw = json.loads(Path(args.input).read_text(encoding="utf-8"))
     try:
-        polys = frozenset(
-            CycloProduct.from_mapping({int(d): int(t) for d, t in entry.items()})
-            for entry in raw["polys"]
-        )
-        rank = int(raw["rank"])
+        polys = frozenset(map(_poly_from_json, raw["polys"]))
+        rank = raw["rank"]
+        if type(rank) is not int:
+            raise TypeError(f"rank {rank!r} is not an integer")
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{args.input}: malformed family file ({exc!r})")
     fam = reconstruct.CharPolyFamily(polys, rank)

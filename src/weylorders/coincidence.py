@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations_with_replacement
 from typing import Dict, List, Tuple
 
@@ -287,13 +287,7 @@ class GroupAxiomReport:
         return not self.violations
 
     def to_json(self) -> Dict:
-        return {
-            "samples": self.samples,
-            "rank_bound": self.rank_bound,
-            "checks": self.checks,
-            "violations": self.violations,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _random_pair(rng: random.Random, rank_bound: int) -> CoincidencePair:

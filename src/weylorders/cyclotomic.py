@@ -113,15 +113,10 @@ class IntPoly:
         return acc
 
 
-_phi_cache: Dict[int, int] = {}
-
-
+@functools.cache
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("phi is defined for n >= 1")
-    got = _phi_cache.get(n)
-    if got is not None:
-        return got
     out, m, p = n, n, 2
     while p * p <= m:
         if m % p == 0:
@@ -131,7 +126,6 @@ def euler_phi(n: int) -> int:
         p += 1
     if m > 1:
         out -= out // m
-    _phi_cache[n] = out
     return out
 
 

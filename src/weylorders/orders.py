@@ -57,6 +57,8 @@ def _iroot(n: int, k: int) -> int:
 def _prime_power(q: int) -> Optional[Tuple[int, int]]:
     """(p, t) with q = p^t and p prime, or None: each integer t-th root of q
     is tested, and q = r^t has a prime r for at most one t."""
+    if q < 2:
+        return None
     for t in range(1, q.bit_length()):
         r = _iroot(q, t)
         if r**t == q and is_prime(r):

@@ -10,7 +10,8 @@ give the block degrees, and the residual family is the exact quotient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Tuple
 
 from .cyclotomic import CycloProduct, max_exponents, pairwise_products
@@ -45,7 +46,7 @@ class CharPolyFamily:
     rank: int
 
     def __post_init__(self):
-        ident = CycloProduct.from_mapping({1: self.rank} if self.rank else {})
+        ident = CycloProduct.from_mapping({1: self.rank})
         if ident not in self.polys:
             raise NotAWeylFamily("identity polynomial missing from the family")
         for p in self.polys:
@@ -79,21 +80,19 @@ def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
         return ()
     a = max_exponents(fam.polys)
     top = max(a)
-    mults: Dict[int, int] = {}
+    mults: Counter = Counter()
     for v in range(top, 1, -1):
         m = a.get(v, 0) - sum(c for u, c in mults.items() if u % v == 0)
         if m < 0:
             raise NotAWeylFamily(f"negative multiplicity for degree {v}")
         if m:
             mults[v] = m
-    out: List[int] = []
-    for v, m in mults.items():
-        out.extend([v] * m)
+    out = tuple(sorted(mults.elements()))
     if len(out) != fam.rank:
         raise NotAWeylFamily(
             f"recovered {len(out)} degrees for a rank-{fam.rank} family"
         )
-    return tuple(sorted(out))
+    return out
 
 
 def _predicted_family(
@@ -121,20 +120,19 @@ def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]
     if fam.rank < 1:
         raise NotAWeylFamily("cannot peel a rank-0 family")
     degs = degrees_from_family(fam)
-    h = max(degs)
-    b = sum(1 for d in degs if d % h == 0)
+    h = degs[-1]
+    # b is the largest phi_h exponent in the family, so f_h is never empty
+    b = degs.count(h)
     f_h = [p for p in fam.polys if p.exponent(h) == b]
-    if not f_h:
-        raise NotAWeylFamily(f"no entry realizes the top phi_{h} multiplicity")
 
-    best = max(p.exponent(1) for p in f_h)
-    starred = [p for p in f_h if p.exponent(1) == best]
+    residual_dim = max(p.exponent(1) for p in f_h)
+    starred = [p for p in f_h if p.exponent(1) == residual_dim]
     if len(starred) != 1:
         raise NotAWeylFamily("top Coxeter entry is not unique")
-    p_star = starred[0]
-    residual_dim = p_star.exponent(1)
-    f = p_star.exact_div(CycloProduct.from_mapping({1: residual_dim} if residual_dim else {}))
+    f = starred[0].exact_div(CycloProduct.from_mapping({1: residual_dim}))
 
+    # phi_d^t adds t * phi(d) degrees, so the block has rank deg f and the
+    # residual has rank fam.rank - deg f = residual_dim
     block_degrees: List[int] = []
     for d, t in f.exps:
         if d < 2 or h % d:
@@ -148,9 +146,6 @@ def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]
         residual = frozenset(p.exact_div(f) for p in f_h)
     except ValueError as exc:
         raise NotAWeylFamily(f"family is not divisible by its Coxeter entry: {exc}")
-    residual_rank = fam.rank - len(block_degrees)
-    if residual_rank != residual_dim:
-        raise NotAWeylFamily("fixed-space dimension disagrees with the block size")
 
     covers = [t.factors for t in types_with_degrees(block_degrees)
               if all(coxeter_number(f) == h for f in t.factors)]
@@ -166,7 +161,7 @@ def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]
             )
 
     block = CoxeterBlock(h, covers[0], f, residual_dim)
-    return block, CharPolyFamily(residual, residual_rank)
+    return block, CharPolyFamily(residual, residual_dim)
 
 
 def reconstruct(fam: CharPolyFamily) -> SemisimpleType:
@@ -206,15 +201,7 @@ class DeterminationReport:
         )
 
     def to_json(self) -> Dict:
-        return {
-            "rank_bound": self.rank_bound,
-            "alphabet": self.alphabet,
-            "types_checked": self.types_checked,
-            "chset_collisions": self.chset_collisions,
-            "roundtrip_failures": self.roundtrip_failures,
-            "profile_collisions": self.profile_collisions,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_determination(

@@ -255,9 +255,6 @@ def parse_type(s: str) -> SemisimpleType:
             letter = "A"
         if letter == "C" and rank == 2:
             letter = "B"
-        rule = _RANK_RULES[letter]
-        if not rule(rank):
-            raise TypeParseError(f"rank out of range in factor {token!r}")
         factors.append(SimpleType(letter, rank))
     return SemisimpleType.of(*factors)
 

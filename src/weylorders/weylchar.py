@@ -10,14 +10,17 @@ element counts so the group order acts as a correctness certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .cyclotomic import CycloProduct, IntPoly, cyclotomic, euler_phi, pairwise_products
+from .cyclotomic import (CycloProduct, IntPoly, cyclotomic, euler_phi,
+                         factor_power_minus_one, pairwise_products)
 from .rootsystem import (
     EXCEPTIONAL,
     SemisimpleType,
@@ -55,7 +58,7 @@ class CharPolyTable:
     def validate(self) -> None:
         rank = self.type_label.rank
         # built first: a rank beyond what a CycloProduct holds is refused here
-        ident = CycloProduct.from_mapping({1: rank} if rank else {})
+        ident = CycloProduct.from_mapping({1: rank})
         total = 0
         for poly, count in self.entries.items():
             if poly.degree != rank:
@@ -87,12 +90,9 @@ class CharPolyTable:
 
 # --- partitions and classical tables -----------------------------------------
 
-_partition_cache: Dict[int, List[Tuple[int, ...]]] = {}
 
-
+@functools.cache
 def _partitions(n: int) -> List[Tuple[int, ...]]:
-    if n in _partition_cache:
-        return _partition_cache[n]
     out: List[Tuple[int, ...]] = []
 
     def rec(remaining: int, largest: int, acc: List[int]) -> None:
@@ -105,78 +105,51 @@ def _partitions(n: int) -> List[Tuple[int, ...]]:
             acc.pop()
 
     rec(n, n, [])
-    _partition_cache[n] = out
     return out
 
 
-def _multiplicities(parts: Tuple[int, ...]) -> Dict[int, int]:
-    m: Dict[int, int] = {}
-    for p in parts:
-        m[p] = m.get(p, 0) + 1
-    return m
-
-
 def _sym_centralizer(parts: Tuple[int, ...]) -> int:
-    z = 1
-    for i, mult in _multiplicities(parts).items():
-        z *= i**mult * math.factorial(mult)
-    return z
-
-
-def _signed_centralizer(parts: Tuple[int, ...]) -> int:
-    z = 1
-    for i, mult in _multiplicities(parts).items():
-        z *= (2 * i) ** mult * math.factorial(mult)
-    return z
-
-
-def _poly_positive_cycles(parts: Iterable[int]) -> Dict[int, int]:
-    exps: Dict[int, int] = {}
-    for part in parts:
-        for e in range(1, part + 1):
-            if part % e == 0:
-                exps[e] = exps.get(e, 0) + 1
-    return exps
-
-
-def _poly_negative_cycles(parts: Iterable[int], exps: Dict[int, int]) -> None:
-    # x^m + 1 contributes phi_e for divisors e of 2m that do not divide m
-    for part in parts:
-        for e in range(1, 2 * part + 1):
-            if (2 * part) % e == 0 and part % e != 0:
-                exps[e] = exps.get(e, 0) + 1
+    return math.prod(i**mult * math.factorial(mult) for i, mult in Counter(parts).items())
 
 
 def charpolys_classical(t: SimpleType) -> CharPolyTable:
-    """Combinatorial table for a classical simple type (A, B/C or D)."""
+    """Combinatorial table for a classical simple type (A, B/C or D).
+
+    A positive k-cycle contributes x^k - 1 to the characteristic polynomial
+    and a negative one x^k + 1 = (x^2k - 1) / (x^k - 1).
+    """
     t = t.canonical()
     if t.letter not in ("A", "B", "D"):
         raise ValueError(f"{t} is not classical; use charpolys_exceptional")
     n = t.rank
+    # refuses a rank beyond what a CycloProduct holds before any enumeration
+    CycloProduct.from_mapping({1: n})
+    one = CycloProduct.one()
+    minus = [one] + [factor_power_minus_one(k) for k in range(1, n + 2)]
     entries: Dict[CycloProduct, int] = {}
 
     if t.letter == "A":
         order = math.factorial(n + 1)
         for lam in _partitions(n + 1):
-            exps = _poly_positive_cycles(lam)
-            exps[1] -= 1  # reflection representation drops one trivial factor
-            poly = CycloProduct.from_mapping(exps)
-            count = order // _sym_centralizer(lam)
-            entries[poly] = entries.get(poly, 0) + count
+            # the reflection representation drops one trivial factor
+            poly = math.prod((minus[k] for k in lam), start=one).exact_div(minus[1])
+            entries[poly] = entries.get(poly, 0) + order // _sym_centralizer(lam)
     else:
+        plus = [one] + [
+            factor_power_minus_one(2 * k).exact_div(minus[k]) for k in range(1, n + 1)
+        ]
         order = 2**n * math.factorial(n)
-        keep_all = t.letter == "B"
         for k in range(n + 1):
             for lam in _partitions(k):
-                z_lam = _signed_centralizer(lam)
+                positive = math.prod((minus[i] for i in lam), start=one)
+                # a signed cycle type centralizes 2^(number of cycles) times more
+                z_lam = _sym_centralizer(lam) << len(lam)
                 for mu_parts in _partitions(n - k):
-                    if not keep_all and len(mu_parts) % 2:
+                    if t.letter == "D" and len(mu_parts) % 2:
                         continue
-                    exps = _poly_positive_cycles(lam)
-                    _poly_negative_cycles(mu_parts, exps)
-                    poly = CycloProduct.from_mapping(exps)
-                    count = order // (z_lam * _signed_centralizer(mu_parts))
-                    entries[poly] = entries.get(poly, 0) + count
+                    poly = math.prod((plus[i] for i in mu_parts), start=positive)
+                    z = z_lam * (_sym_centralizer(mu_parts) << len(mu_parts))
+                    entries[poly] = entries.get(poly, 0) + order // z
         if t.letter == "D":
             order //= 2
 
@@ -528,7 +501,9 @@ def _factor_profile(f: SimpleType) -> _Parts:
     if got is not None:
         return got
     ft = SemisimpleType.of(f)
-    positive = sorted(ch_star(ft))
+    # the indices of the table are ch_star(f); reading them off the table
+    # builds it first, which refuses a rank beyond what a CycloProduct holds
+    positive = sorted(simple_table(f).indices())
     mus = {i: mu(ft, i) for i in positive}
     primes = {i: _mu_prime_simple(f, i) for i in positive if i > 2}
     deficits = {}

@@ -33,6 +33,10 @@ def test_order_rejects_bad_type(capsys):
 
 def test_order_rejects_non_prime_power(capsys):
     assert run(["order", "--type", "A1", "--q", "6"]) == 1
+    capsys.readouterr()
+    assert run(["order", "--type", "A1", "--q", "-4"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: -4 is not a prime power\n"
 
 
 def test_charpolys_command(capsys, tmp_path):
@@ -62,6 +66,20 @@ def test_invariants_command(capsys):
     assert doc["mu_joint"] == 1
     doc = run_json(capsys, ["invariants", "--type", "B2"])
     assert doc["mu"]["4"] == 1 and doc["mu"]["2"] == 2
+    doc = run_json(capsys, ["invariants", "--type", "B40000", "--mu", "3"])
+    assert doc["mu"] == 13333
+
+
+@pytest.mark.parametrize("command", ["charpolys", "invariants"])
+def test_rank_beyond_capacity_is_refused_before_enumeration(capsys, monkeypatch, command):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before the rank was refused")
+
+    monkeypatch.setattr(weylchar, "_partitions", no_enumeration)
+    monkeypatch.setattr(weylchar, "ch_star", no_enumeration)
+    assert run([command, "--type", "A40000"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: degree of the product exceeds 32767\n"
 
 
 def test_invariants_mu_reads_no_table(capsys, monkeypatch):
@@ -95,7 +113,15 @@ def test_reconstruct_command(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doc", ['{"rank": 1}', '{"polys": 5, "rank": 1}', "[1]", '{"polys": [[1]], "rank": 1}']
+    "doc",
+    [
+        '{"rank": 1}',
+        '{"polys": 5, "rank": 1}',
+        "[1]",
+        '{"polys": [[1]], "rank": 1}',
+        '{"rank": 1, "polys": [{"1": 1.2}, {"2": 1.9}]}',
+        '{"rank": 1.9, "polys": [{"1": 1}, {"2": true}]}',
+    ],
 )
 def test_reconstruct_rejects_malformed_family_file(capsys, tmp_path, doc):
     path = tmp_path / "family.json"
@@ -240,6 +266,17 @@ def test_cache_rejects_version_mismatch(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(CacheInvalid):
         cache_load("G2", tmp_path)
+
+
+def test_cache_rejects_non_integer_exponents(tmp_path):
+    table = charpolys_exceptional(SimpleType("G", 2))
+    path = cache_store(table, tmp_path)
+    payload = json.loads(path.read_text())
+    for exps in ({"1": 2.0}, [2]):
+        payload["entries"][0]["exps"] = exps
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CacheInvalid, match="malformed cache payload"):
+            cache_load("G2", tmp_path)
 
 
 def test_cache_rejects_corrupt_json(tmp_path):

@@ -144,6 +144,9 @@ def test_group_axioms():
     report = verify_group_axioms(50, 20, seed=3)
     assert report.ok
     assert report.checks == 250
+    doc = report.to_json()
+    assert set(doc) == {"samples", "rank_bound", "checks", "violations", "ok"}
+    assert doc["ok"] is True and doc["checks"] == 250
 
 
 def test_composition_keeps_invariants():

@@ -30,7 +30,7 @@ def test_split_prime_power():
     assert split_prime_power(8) == (2, 3)
     assert split_prime_power(2**500) == (2, 500)
     assert split_prime_power((2**127 - 1) ** 4) == (2**127 - 1, 4)
-    for bad in (0, 1, 6, 12, 100):
+    for bad in (0, 1, 6, 12, 100, -4, -8, -27):
         with pytest.raises(WeylOrdersError):
             split_prime_power(bad)
 

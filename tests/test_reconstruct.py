@@ -145,6 +145,8 @@ def test_verify_determination_rank4():
 def test_verify_determination_report_shape():
     report = verify_determination(2)
     doc = report.to_json()
+    assert set(doc) == {"rank_bound", "alphabet", "types_checked", "chset_collisions",
+                        "roundtrip_failures", "profile_collisions", "ok"}
     assert doc["ok"] is True
     assert doc["types_checked"] == 5
 

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -93,6 +94,74 @@ def test_classical_matches_enumeration(t):
     combinatorial = charpolys_classical(t)
     enumerated = charpolys_enumerated(t)
     assert combinatorial.entries == enumerated.entries
+
+
+def _reference_partitions(n, largest=None):
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _reference_partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _reference_centralizer(parts, signed):
+    z = 1
+    for i in set(parts):
+        m = parts.count(i)
+        z *= (2 * i if signed else i) ** m * math.factorial(m)
+    return z
+
+
+def _reference_exponents(positive, negative):
+    """Cyclotomic exponents of the product of x^k - 1 over the positive
+    cycles and x^k + 1 over the negative ones: x^k - 1 has phi_e for each
+    divisor e of k, and x^k + 1 for each divisor e of 2k that does not divide k."""
+    exps = {}
+    for k in positive:
+        for e in range(1, k + 1):
+            if k % e == 0:
+                exps[e] = exps.get(e, 0) + 1
+    for k in negative:
+        for e in range(1, 2 * k + 1):
+            if (2 * k) % e == 0 and k % e != 0:
+                exps[e] = exps.get(e, 0) + 1
+    return exps
+
+
+def _reference_classical_entries(t):
+    """The classical table from cycle types, one exponent dict per class."""
+    n, entries = t.rank, {}
+
+    def add(exps, count):
+        poly = CycloProduct.from_mapping(exps)
+        entries[poly] = entries.get(poly, 0) + count
+
+    if t.letter == "A":
+        for lam in _reference_partitions(n + 1):
+            exps = _reference_exponents(lam, ())
+            exps[1] -= 1  # the reflection representation drops one trivial factor
+            add(exps, math.factorial(n + 1) // _reference_centralizer(lam, False))
+        return entries
+    order = 2**n * math.factorial(n)
+    for k in range(n + 1):
+        for lam in _reference_partitions(k):
+            for mu_parts in _reference_partitions(n - k):
+                if t.letter == "D" and len(mu_parts) % 2:
+                    continue
+                z = _reference_centralizer(lam, True) * _reference_centralizer(mu_parts, True)
+                add(_reference_exponents(lam, mu_parts), order // z)
+    return entries
+
+
+@pytest.mark.parametrize(
+    "t",
+    [SimpleType("A", n) for n in range(1, 15)]
+    + [SimpleType("B", n) for n in range(2, 15)]
+    + [SimpleType("D", n) for n in range(4, 15)],
+    ids=str,
+)
+def test_classical_matches_reference_construction(t):
+    assert charpolys_classical(t).entries == _reference_classical_entries(t)
 
 
 def test_product_table():
