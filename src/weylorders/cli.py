@@ -41,7 +41,6 @@ def _cache_path(dir_: Path, type_label: str) -> Path:
 
 def cache_store(table: CharPolyTable, dir_: os.PathLike) -> Path:
     """Atomically write a single-factor table as JSON."""
-    table.validate()
     payload = _table_json(table)
     label = payload["type_label"] = payload.pop("type")
     payload["version"] = CACHE_VERSION
@@ -61,7 +60,7 @@ def cache_store(table: CharPolyTable, dir_: os.PathLike) -> Path:
 
 
 def cache_load(type_label: str, dir_: os.PathLike) -> Optional[CharPolyTable]:
-    """Load and re-validate a cached table; None when the file is absent."""
+    """Load a cached table, checked as it is built; None when the file is absent."""
     path = _cache_path(Path(dir_), type_label)
     if not path.exists():
         return None
@@ -82,9 +81,10 @@ def cache_load(type_label: str, dir_: os.PathLike) -> Optional[CharPolyTable]:
             entries[poly] = entries.get(poly, 0) + int(item["count"])
     except (KeyError, ValueError, TypeError, AttributeError, TypeParseError) as exc:
         raise CacheInvalid(f"{path}: malformed cache payload ({exc})")
-    table = CharPolyTable(t, order, entries)
     try:
-        table.validate()
+        table = CharPolyTable(t, entries)
+        if order != table.group_order:
+            raise ValueError(f"group order {order} is not {table.group_order}")
     except ValueError as exc:
         raise CacheInvalid(f"{path}: certificate failed: {exc}")
     return table
@@ -454,7 +454,7 @@ def run(argv) -> int:
     except TypeParseError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (WeylOrdersError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (WeylOrdersError, OSError, json.JSONDecodeError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

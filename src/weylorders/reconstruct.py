@@ -67,7 +67,6 @@ class CoxeterBlock:
     h: int
     factors: Tuple[SimpleType, ...]
     f: CycloProduct  # characteristic polynomial of the block's Coxeter element
-    residual_dim: int
 
 
 def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
@@ -160,7 +159,7 @@ def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]
                 f"blocks {covers} all reproduce the family"
             )
 
-    block = CoxeterBlock(h, covers[0], f, residual_dim)
+    block = CoxeterBlock(h, covers[0], f)
     return block, CharPolyFamily(residual, residual_dim)
 
 

@@ -68,7 +68,7 @@ class SimpleType:
         return f"{self.letter}{self.rank}"
 
 
-# The exceptional simple types; every catalogue of simple types reads this.
+# The exceptional simple types, whose tables are enumerated (weylchar).
 EXCEPTIONAL = (
     SimpleType("G", 2),
     SimpleType("F", 4),
@@ -205,12 +205,15 @@ def cartan_pairing(t: SimpleType) -> List[List[int]]:
 def table_parabolic(t: SimpleType) -> int:
     """Node k (numbered as in cartan_pairing) of an exceptional type whose
     maximal parabolic subgroup W_{S-k} its characteristic-polynomial table
-    is summed over: G2 via A1, F4 via B3, E6 via D5, E7 via E6, E8 via A7.
+    is summed over: G2 via A1, F4 via B3, E6 via D5, E7 via D5xA1, E8 via A7.
 
-    E8 via A7 sums 35 double cosets of 40,320 elements each; via D7 it would
-    be 10 of 322,560 and via E7 5 of 2,903,040.
+    H is walked as R.K (weylchar._chain_table), so the cost follows the
+    number of x.r batches of |K| elements.  E7 via D5xA1 walks 26 batches of
+    |D5| = 1,920, via E6 108 of the same size.  E8 via A7 sums 35 double
+    cosets of 40,320 elements each; via D7 it would be 10 of 322,560 and via
+    E7 5 of 2,903,040.
     """
-    return {("G", 2): 0, ("F", 4): 3, ("E", 6): 0, ("E", 7): 6, ("E", 8): 1}[
+    return {("G", 2): 0, ("F", 4): 3, ("E", 6): 0, ("E", 7): 5, ("E", 8): 1}[
         (t.letter, t.rank)
     ]
 
@@ -271,16 +274,10 @@ def simple_types(rank_bound: int, letters: Iterable[str] = "ABDGFE") -> List[Sim
 
     The letter E covers E6, E7 and E8; C selects the B series it is stored as.
     """
-    letters = set(letters)
-    out: List[SimpleType] = []
-    if "A" in letters:
-        out += [SimpleType("A", n) for n in range(1, rank_bound + 1)]
-    if "B" in letters or "C" in letters:
-        out += [SimpleType("B", n) for n in range(2, rank_bound + 1)]
-    if "D" in letters:
-        out += [SimpleType("D", n) for n in range(4, rank_bound + 1)]
-    out += [f for f in EXCEPTIONAL if f.letter in letters and f.rank <= rank_bound]
-    return sorted(out)
+    letters = {"B" if c == "C" else c for c in letters} & _RANK_RULES.keys()
+    return sorted(
+        SimpleType(c, n) for c in letters for n in range(1, rank_bound + 1) if _RANK_RULES[c](n)
+    )
 
 
 @functools.lru_cache(maxsize=None)

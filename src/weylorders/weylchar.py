@@ -49,11 +49,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CharPolyTable:
-    """Multiset of characteristic polynomials with element counts."""
+    """Multiset of characteristic polynomials with element counts, checked
+    when built; the group order is the type's, the product of its degrees."""
 
     type_label: SemisimpleType
-    group_order: int
     entries: Dict[CycloProduct, int]
+
+    def __post_init__(self):
+        self.validate()
+
+    @property
+    def group_order(self) -> int:
+        return weyl_order(self.type_label)
 
     def validate(self) -> None:
         rank = self.type_label.rank
@@ -66,17 +73,11 @@ class CharPolyTable:
             if count < 1:
                 raise ValueError(f"entry {poly} has count {count}")
             total += count
-        if total != self.group_order:
-            raise ValueError(
-                f"counts sum to {total}, group order is {self.group_order}"
-            )
+        order = self.group_order
+        if total != order:
+            raise ValueError(f"counts sum to {total}, group order is {order}")
         if ident not in self.entries:
             raise ValueError("identity polynomial missing from table")
-        if self.group_order != weyl_order(self.type_label):
-            raise ValueError(
-                f"group order {self.group_order} is not the "
-                f"reflection-group order {weyl_order(self.type_label)}"
-            )
 
     def poly_set(self) -> FrozenSet[CycloProduct]:
         return frozenset(self.entries)
@@ -138,7 +139,7 @@ def charpolys_classical(t: SimpleType) -> CharPolyTable:
         plus = [one] + [
             factor_power_minus_one(2 * k).exact_div(minus[k]) for k in range(1, n + 1)
         ]
-        order = 2**n * math.factorial(n)
+        order = 2**n * math.factorial(n)  # |W(B_n)|, which D_n's class sizes share
         for k in range(n + 1):
             for lam in _partitions(k):
                 positive = math.prod((minus[i] for i in lam), start=one)
@@ -150,12 +151,8 @@ def charpolys_classical(t: SimpleType) -> CharPolyTable:
                     poly = math.prod((plus[i] for i in mu_parts), start=positive)
                     z = z_lam * (_sym_centralizer(mu_parts) << len(mu_parts))
                     entries[poly] = entries.get(poly, 0) + order // z
-        if t.letter == "D":
-            order //= 2
 
-    table = CharPolyTable(SemisimpleType.of(t), order, entries)
-    table.validate()
-    return table
+    return CharPolyTable(SemisimpleType.of(t), entries)
 
 
 # --- coset-chain enumeration -------------------------------------------------
@@ -321,9 +318,7 @@ def _chain_table(t: SimpleType, node: Optional[int]) -> CharPolyTable:
     for key, cnt in counts.items():
         poly = _factor_into_cyclotomics(_charpoly(key, n))
         entries[poly] = entries.get(poly, 0) + cnt
-    table = CharPolyTable(SemisimpleType.of(t), weyl_order(t), entries)
-    table.validate()
-    return table
+    return CharPolyTable(SemisimpleType.of(t), entries)
 
 
 def charpolys_enumerated(t: SimpleType) -> CharPolyTable:
@@ -350,11 +345,12 @@ _memo_lock = threading.Lock()
 # so a concurrent reader sees an old path or a new one, never a half-built
 # one.
 _path: Tuple[CharPolyTable, ...] = ()
-_EMPTY = CharPolyTable(SemisimpleType(()), 1, {CycloProduct.one(): 1})
+_EMPTY = CharPolyTable(SemisimpleType(()), {CycloProduct.one(): 1})
 
 
 def seed_table(table: CharPolyTable) -> None:
-    """Install an externally obtained single-factor table (validated first).
+    """Install an externally obtained single-factor table (validated again:
+    its entries dict may have changed since it was built).
 
     The registry is write-once: seeding the table already installed for a
     type does nothing, and seeding a different one raises ValueError.
@@ -383,10 +379,7 @@ def simple_table(t: SimpleType) -> CharPolyTable:
 
 
 def _convolve(left: CharPolyTable, right: CharPolyTable, t: SemisimpleType) -> CharPolyTable:
-    entries = pairwise_products(left.entries, right.entries)
-    table = CharPolyTable(t, left.group_order * right.group_order, entries)
-    table.validate()
-    return table
+    return CharPolyTable(t, pairwise_products(left.entries, right.entries))
 
 
 def charpolys(t: SemisimpleType) -> CharPolyTable:

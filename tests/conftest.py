@@ -15,7 +15,7 @@ def small_exceptional_tables():
 
 @pytest.fixture(scope="session")
 def e7_table() -> CharPolyTable:
-    """The E7 table, summed over the double cosets of E6 (under a second)."""
+    """The E7 table, summed over the double cosets of D5xA1 (a tenth of a second)."""
     return simple_table(SimpleType("E", 7))
 
 

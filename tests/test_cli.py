@@ -82,6 +82,25 @@ def test_rank_beyond_capacity_is_refused_before_enumeration(capsys, monkeypatch,
     assert err == "error: degree of the product exceeds 32767\n"
 
 
+# the degree list of a rank past sys.maxsize cannot be built; range() says so at once
+_HUGE = "A1" + "0" * 39
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "--type", _HUGE, "--q", "2"],
+        ["invariants", "--type", _HUGE, "--mu", "3"],
+        ["decompose", "--pair", f"{_HUGE}:A1"],
+    ],
+    ids=["order", "invariants", "decompose"],
+)
+def test_rank_past_maxsize_is_one_error_line(capsys, argv):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_invariants_mu_reads_no_table(capsys, monkeypatch):
     def no_table(t):
         raise AssertionError(f"the {t} table was loaded for a degree-only answer")
@@ -254,8 +273,25 @@ def test_cache_rejects_wrong_group_order(tmp_path):
     payload = json.loads(path.read_text())
     payload["group_order"] = "13"
     path.write_text(json.dumps(payload))
-    with pytest.raises(CacheInvalid):
+    with pytest.raises(CacheInvalid, match="group order"):
         cache_load("G2", tmp_path)
+
+
+@pytest.mark.parametrize("field", ["count", "group_order"])
+def test_charpolys_refuses_a_forged_cache_file(capsys, monkeypatch, tmp_path, field):
+    monkeypatch.setattr(weylchar, "_table_memo", {})
+    path = cache_store(charpolys_exceptional(SimpleType("G", 2)), tmp_path)
+    payload = json.loads(path.read_text())
+    if field == "count":
+        payload["entries"][0]["count"] = str(int(payload["entries"][0]["count"]) + 1)
+    else:
+        payload["group_order"] = "13"
+    path.write_text(json.dumps(payload))
+    assert run(["charpolys", "--type", "G2", "--cache", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert ": certificate failed: " in captured.err
 
 
 def test_cache_rejects_version_mismatch(tmp_path):

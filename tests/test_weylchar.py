@@ -77,10 +77,11 @@ def test_e6_double_cosets_match_full_chain(t):
 
 
 def test_e7_routes_agree(e7_table):
-    # the fixture sums over the double cosets of E6; D6 is an independent route
+    # the fixture sums over the double cosets of D5xA1; D6 and E6 are independent routes
     e7 = SimpleType("E", 7)
-    assert table_parabolic(e7) == 6
-    assert weylchar._chain_table(e7, 0).entries == e7_table.entries
+    assert table_parabolic(e7) == 5
+    for node in (0, 6):
+        assert weylchar._chain_table(e7, node).entries == e7_table.entries, node
 
 
 @pytest.mark.parametrize(
@@ -356,9 +357,12 @@ def test_e8_profile_complete(e8_table):
 def test_seed_table_validates():
     good = charpolys_classical(SimpleType("B", 2))
     seed_table(good)  # idempotent
-    bad = CharPolyTable(good.type_label, good.group_order + 1, good.entries)
-    with pytest.raises(ValueError):
+    # entries is a mutable dict: a table changed after it was built is refused
+    bad = CharPolyTable(good.type_label, dict(good.entries))
+    bad.entries[cp(d4=1)] += 1
+    with pytest.raises(ValueError, match="counts sum to 9"):
         seed_table(bad)
+    assert weylchar._table_memo[SimpleType("B", 2)] == good
 
 
 def test_bn_cn_same_table():
@@ -483,14 +487,13 @@ def test_seed_table_is_write_once(monkeypatch):
     monkeypatch.setattr(weylchar, "_path", ())
     g2 = parse_type("G2")
     table = weylchar.simple_table(g2.factors[0])
-    seed_table(CharPolyTable(g2, 12, dict(table.entries)))  # equal: a no-op
+    seed_table(CharPolyTable(g2, dict(table.entries)))  # equal: a no-op
     assert weylchar._table_memo[g2.factors[0]] is table
     charpolys(parse_type("A1xG2"))
     memo, path, profile = dict(weylchar._table_memo), weylchar._path, invariant_profile(g2)
     assert mu_joint(g2, 2, 6) == profile.mu_joint[(2, 6)] == 2
     # passes validate(), but no element has e_2 + e_6 = 2
-    forged = CharPolyTable(g2, 12, {cp(d1=2): 1, cp(d1=1, d2=1): 7, cp(d3=1): 2, cp(d6=1): 2})
-    forged.validate()
+    forged = CharPolyTable(g2, {cp(d1=2): 1, cp(d1=1, d2=1): 7, cp(d3=1): 2, cp(d6=1): 2})
     with pytest.raises(ValueError, match="G2"):
         seed_table(forged)
     assert weylchar._table_memo == memo
@@ -501,12 +504,32 @@ def test_seed_table_is_write_once(monkeypatch):
 
 
 def test_validate_checks_the_reflection_group_order():
-    # counts sum to the stated order, which is not the order of the type
+    # the counts of B2 sum to 8, which is not the order of G2 or of A1xA1
     b2 = charpolys_classical(SimpleType("B", 2))
     for label in ("G2", "A1xA1"):
-        table = CharPolyTable(parse_type(label), 8, b2.entries)
-        with pytest.raises(ValueError, match="reflection-group order"):
-            table.validate()
+        with pytest.raises(ValueError, match="counts sum to 8"):
+            CharPolyTable(parse_type(label), b2.entries)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({cp(d1=1, d2=1): 4}, "counts sum to 7, group order is 6"),
+        ({cp(d1=2): None, cp(d1=1, d2=1): 4}, "identity polynomial missing"),
+        ({cp(d3=1): None, cp(d3=1, d1=1): 2}, "has degree 3, rank is 2"),
+        ({cp(d3=1): 0, cp(d1=1, d2=1): 5}, "has count 0"),
+    ],
+    ids=["count", "identity", "degree", "zero-count"],
+)
+def test_table_is_checked_when_built(change, message):
+    entries = dict(charpolys_classical(SimpleType("A", 2)).entries)
+    for poly, count in change.items():
+        if count is None:
+            del entries[poly]
+        else:
+            entries[poly] = count
+    with pytest.raises(ValueError, match=message):
+        CharPolyTable(parse_type("A2"), entries)
 
 
 def test_e8_table_flow_with_seeded_table(monkeypatch, e8_table):
