@@ -147,10 +147,19 @@ def _pair_json(p: coincidence.CoincidencePair) -> Dict[str, str]:
 def _cmd_order(args) -> int:
     t = parse_type(args.type)
     fo = orders.order_factored(t, args.q)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # the order exceeds q^(2N) >= 2^(2N(b - 1)) for a q of b bits, and log10(2) > 0.30102
+    digits = 2 * fo.n_exp * (fo.q.bit_length() - 1) * 30102 // 100000
+    if limit and digits > limit:
+        raise WeylOrdersError(
+            f"|{render(t)}(F_{args.q})| has over {digits} decimal digits, "
+            f"past the limit of {limit} digits for printing an integer"
+        )
+    value = fo.value()
     doc = {
         "type": render(t),
         "q": args.q,
-        "order": str(fo.value()),
+        "order": str(value),
     }
     if args.factored:
         doc["factored"] = {
@@ -159,7 +168,7 @@ def _cmd_order(args) -> int:
             "N": fo.n_exp,
             "degrees": list(fo.degrees),
         }
-    _emit(doc, f"|{render(t)}(F_{args.q})| = {fo.value()}")
+    _emit(doc, f"|{render(t)}(F_{args.q})| = {value}")
     return 0
 
 

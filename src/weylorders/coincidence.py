@@ -16,8 +16,10 @@ from __future__ import annotations
 import functools
 import random
 import re
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations
 from typing import Dict, List, Tuple
 
 from .errors import NoPeelingElement, NotCoincident, TypeParseError
@@ -123,24 +125,22 @@ def enumerate_two_factor_pairs(rank_bound: int) -> List[CoincidencePair]:
     no common factor, and per-side total rank <= rank_bound."""
     if rank_bound < 2:
         raise ValueError("rank bound must be >= 2")
-    simples = simple_types(rank_bound - 1)
-    buckets: Dict[Tuple[int, ...], List[Tuple[SimpleType, SimpleType]]] = {}
-    for a, b in combinations_with_replacement(simples, 2):
-        if a.rank + b.rank > rank_bound:
-            continue
-        key = tuple(sorted(degrees(a) + degrees(b)))
-        buckets.setdefault(key, []).append((a, b))
-    found = []
-    for sides in buckets.values():
-        for i in range(len(sides)):
-            for j in range(i + 1, len(sides)):
-                s1, s2 = set(sides[i]), set(sides[j])
-                if s1 & s2:
-                    continue
-                pair = reduce(
-                    SemisimpleType.of(*sides[i]), SemisimpleType.of(*sides[j])
-                )
-                found.append(_oriented(pair))
+    simples = sorted(simple_types(rank_bound - 1), key=lambda t: t.rank)
+    ranks = [t.rank for t in simples]
+    # each degree multiset packed 3 bits per degree: a simple type repeats a
+    # degree at most twice, so a pair's key is the sum of its two, with no carry
+    keys = [sum(1 << 3 * d for d in degrees(t)) for t in simples]
+    buckets: Dict[int, List[Tuple[SimpleType, SimpleType]]] = {}
+    for i, a in enumerate(simples):
+        stop = bisect_right(ranks, rank_bound - a.rank)  # partners of a within the budget
+        for key, b in zip(map(keys[i].__add__, keys[i:stop]), simples[i:stop]):
+            buckets.setdefault(key, []).append((a, b))
+    found = [
+        _oriented(CoincidencePair(SemisimpleType.of(*x), SemisimpleType.of(*y)))
+        for sides in buckets.values()
+        for x, y in combinations(sides, 2)
+        if not set(x) & set(y)
+    ]
     found.sort(key=lambda p: (p.left.rank, render(p.left), render(p.right)))
     return found
 
@@ -206,18 +206,18 @@ def generators(family_rank_bound: int = 15) -> Dict[str, CoincidencePair]:
 
 
 def evaluate_word(word: GeneratorWord) -> CoincidencePair:
-    acc = identity_pair()
+    """The product of the letters.  Every letter is a reduced pair with equal
+    degrees, and cancelling common factors commutes with taking the union,
+    so the sides of all letters are summed and reduced once."""
+    left, right = Counter(), Counter()
     for gid, sign in word:
         g = generator(gid)
-        acc = compose(acc, g if sign > 0 else inverse(g))
-    return acc
+        left.update((g.left if sign > 0 else g.right).factors)
+        right.update((g.right if sign > 0 else g.left).factors)
+    return reduce(*(SemisimpleType(tuple(c.elements())) for c in (left, right)))
 
 
 # --- decomposition into generators ---------------------------------------------
-
-
-def _top_degree_factors(t: SemisimpleType, h: int) -> List[SimpleType]:
-    return [f for f in t.factors if coxeter_number(f) == h]
 
 
 def _peeling_word(u: SimpleType, v: SimpleType) -> GeneratorWord:
@@ -249,23 +249,30 @@ def decompose(p: CoincidencePair) -> GeneratorWord:
     evaluation of the returned word reproduces the input exactly.
     """
     word: List[Tuple[str, int]] = []
-    acc = p
-    while not acc.is_identity():
-        h = max(coxeter_number(f) for f in acc.left.factors + acc.right.factors)
-        lefts = _top_degree_factors(acc.left, h)
-        rights = _top_degree_factors(acc.right, h)
+    left, right = p.left.counter(), p.right.counter()
+    while left or right:
+        cox = {f: coxeter_number(f) for f in (*left, *right)}
+        h = max(cox.values())
+        lefts = [f for f in left if cox[f] == h]
+        rights = [f for f in right if cox[f] == h]
+        # only p can fail these: every later state is reduced with equal degrees
         if not lefts or not rights:
             raise NoPeelingElement(
-                f"top degree {h} appears on one side only of {acc}; "
+                f"top degree {h} appears on one side only of {p}; "
                 "not a coincidence pair"
             )
         if set(lefts) & set(rights):
             raise NoPeelingElement(
-                f"a factor of top degree {h} is on both sides of {acc}; "
+                f"a factor of top degree {h} is on both sides of {p}; "
                 "not a reduced pair"
             )
-        peel = _peeling_word(lefts[0], rights[0])
-        acc = compose(acc, inverse(evaluate_word(peel)))
+        if not word and degrees(p.left) != degrees(p.right):  # later steps keep them equal
+            raise NotCoincident(f"degree multisets differ: {p}")
+        peel = _peeling_word(min(lefts), min(rights))
+        value = evaluate_word(peel)  # composed inverted: its sides add crosswise
+        left.update(value.right.factors)
+        right.update(value.left.factors)
+        left, right = left - right, right - left
         word.extend(peel)
     if evaluate_word(tuple(word)) != p:
         raise AssertionError("decomposition failed to reproduce its input")

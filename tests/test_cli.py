@@ -1,10 +1,12 @@
 import json
+import sys
 
 import pytest
 
 from weylorders import weylchar
 from weylorders.cli import cache_load, cache_store, run
 from weylorders.errors import CacheInvalid
+from weylorders.orders import FactoredOrder
 from weylorders.rootsystem import SimpleType
 from weylorders.weylchar import charpolys_classical, charpolys_exceptional
 
@@ -37,6 +39,33 @@ def test_order_rejects_non_prime_power(capsys):
     assert run(["order", "--type", "A1", "--q", "-4"]) == 1
     err = capsys.readouterr().err
     assert err == "error: -4 is not a prime power\n"
+
+
+@pytest.mark.parametrize("rank, digits", [(200, 12101), (100000, 3010230102)])
+def test_order_refuses_an_unprintable_order_before_computing_it(capsys, monkeypatch, rank, digits):
+    def no_value(self):
+        raise AssertionError("the order was computed")
+
+    monkeypatch.setattr(FactoredOrder, "value", no_value)
+    assert run(["order", "--type", f"A{rank}", "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: |A{rank}(F_2)| has over {digits} decimal digits, past the limit "
+        f"of {sys.get_int_max_str_digits()} digits for printing an integer\n"
+    )
+
+
+def test_order_prints_every_order_within_the_digit_limit(capsys):
+    doc = run_json(capsys, ["order", "--type", "A100", "--q", "2"])
+    assert len(doc["order"]) == 3071
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit: nothing is refused
+    try:
+        doc = run_json(capsys, ["order", "--type", "A200", "--q", "2"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(doc["order"]) == 12162
 
 
 def test_charpolys_command(capsys, tmp_path):

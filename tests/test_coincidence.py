@@ -1,4 +1,6 @@
+import functools
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -19,7 +21,15 @@ from weylorders.coincidence import (
     verify_group_axioms,
 )
 from weylorders.errors import NoPeelingElement, NotCoincident, TypeParseError
-from weylorders.rootsystem import coxeter_catalogue, degrees, parse_type, render
+from weylorders.rootsystem import (
+    SemisimpleType,
+    coxeter_catalogue,
+    coxeter_number,
+    degrees,
+    parse_type,
+    render,
+    simple_types,
+)
 
 
 def pair(left: str, right: str) -> CoincidencePair:
@@ -92,6 +102,45 @@ def test_enumerate_matches_families_rank12():
     assert got == want
 
 
+def sorted_tuple_bucketing(rank_bound):
+    """The enumeration keyed by sorted degree tuples, over every pair of simple
+    types that fits the rank bound."""
+    buckets = {}
+    for a, b in combinations_with_replacement(simple_types(rank_bound - 1), 2):
+        if a.rank + b.rank <= rank_bound:
+            key = tuple(sorted(degrees(a) + degrees(b)))
+            buckets.setdefault(key, []).append((a, b))
+    found = []
+    for sides in buckets.values():
+        for i in range(len(sides)):
+            for j in range(i + 1, len(sides)):
+                if not set(sides[i]) & set(sides[j]):
+                    p = reduce(SemisimpleType.of(*sides[i]), SemisimpleType.of(*sides[j]))
+                    found.append(coincidence._oriented(p))
+    found.sort(key=lambda p: (p.left.rank, render(p.left), render(p.right)))
+    return found
+
+
+def test_enumerate_matches_sorted_tuple_bucketing_and_families():
+    for n in range(2, 61):  # from n = 8 on, D4xD4 fills a degree-4 slot to 4
+        got = enumerate_two_factor_pairs(n)
+        assert got == sorted_tuple_bucketing(n), n
+        assert got == expected_two_factor_pairs(n), n
+
+
+def test_evaluate_word_matches_the_letter_by_letter_fold():
+    rng = random.Random(5)
+    ids = [f"B{n}" for n in range(2, 12)] + [f"D{n}" for n in range(4, 12)] + [
+        "G2", "F4", "E6", "E7", "E8"]
+    words = [(), (("B3", 1), ("B3", -1)), (("E8", -1), ("D5", 1), ("E8", 1), ("D5", -1))]
+    while len(words) < 200:
+        word = tuple((rng.choice(ids), rng.choice((1, -1))) for _ in range(rng.randint(1, 8)))
+        words.append(word + tuple((gid, -sign) for gid, sign in word[: rng.randint(0, 2)]))
+    for word in words:
+        letters = (generator(g) if sign > 0 else inverse(generator(g)) for g, sign in word)
+        assert evaluate_word(word) == functools.reduce(compose, letters, identity_pair()), word
+
+
 def test_decompose_spec_examples():
     w = decompose(pair("B3xB3", "D4xG2"))
     assert sorted(w) == [("D4", -1), ("G2", 1)]
@@ -104,6 +153,10 @@ def test_decompose_spec_examples():
         assert decompose(evaluate_word(word)) == word
 
 
+def top_degree_factors(t, h):
+    return [f for f in t.factors if coxeter_number(f) == h]
+
+
 def test_peeling_word_isolates_each_top_pair():
     for h in range(1, 61):
         cat = coxeter_catalogue(h)
@@ -114,8 +167,8 @@ def test_peeling_word_isolates_each_top_pair():
                 w = coincidence._peeling_word(u, v)
                 assert len(w) <= 2, (u, v, w)
                 p = evaluate_word(w)
-                assert coincidence._top_degree_factors(p.left, h) == [u], (u, v, w)
-                assert coincidence._top_degree_factors(p.right, h) == [v], (u, v, w)
+                assert top_degree_factors(p.left, h) == [u], (u, v, w)
+                assert top_degree_factors(p.right, h) == [v], (u, v, w)
 
 
 def test_decompose_rejects_unreduced_pairs():
@@ -124,8 +177,20 @@ def test_decompose_rejects_unreduced_pairs():
             decompose(CoincidencePair(parse_type(left), parse_type(right)))
 
 
+def test_decompose_peels_the_first_top_factor_of_each_side():
+    assert decompose(pair("B3xB3", "D4xG2")) == (("D4", -1), ("G2", 1))
+    p = pair("A9xA16xA33xB2xB9xB16xE7", "A1xA8xA17xA32xB7xB17xD10")
+    assert decompose(p) == (("B17", -1), ("B9", 1), ("D10", -1), ("E7", -1))
+
+
+def test_decompose_rejects_an_unbalanced_pair():
+    # B3 and G2 share the top degree 6 and pass the peel checks; the degrees differ
+    with pytest.raises(NotCoincident):
+        decompose(CoincidencePair(parse_type("B3"), parse_type("A1xG2")))
+
+
 def test_decompose_round_trip_on_enumerated_pairs():
-    for p in enumerate_two_factor_pairs(14):
+    for p in enumerate_two_factor_pairs(40):
         assert evaluate_word(decompose(p)) == p
 
 
