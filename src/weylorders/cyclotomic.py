@@ -14,7 +14,7 @@ import math
 import random
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import FactorizationLimitError
 
@@ -22,13 +22,12 @@ __all__ = [
     "IntPoly",
     "CycloProduct",
     "pairwise_products",
+    "sumset",
     "max_exponents",
     "cyclotomic",
     "factor_power_minus_one",
     "eval_cyclo_product",
     "ord_p_power_diff",
-    "p_contribution",
-    "largest_prime_power_divisor",
     "factorize",
     "is_prime",
     "euler_phi",
@@ -172,9 +171,9 @@ class CycloProduct(int):
     Slot d holds the phi_d exponent and slot 0 the degree, so multiplying two
     products adds the integers, and products hash and compare as ints.  Only
     this module does integer arithmetic on products; elsewhere they are
-    built by ``from_mapping`` and combined by ``*``, ``exact_div`` and
-    ``pairwise_products``.  A product's truth value is meaningless: ``one()``
-    is 0.
+    built by ``from_mapping`` and combined by ``*``, ``exact_div``,
+    ``pairwise_products`` and ``sumset``.  A product's truth value is
+    meaningless: ``one()`` is 0.
     """
 
     __slots__ = ()
@@ -263,20 +262,24 @@ class CycloProduct(int):
         ) or "1"
 
 
+def _check_product_degree(left: Iterable[int], right: Iterable[int]) -> None:
+    """No pair's degree exceeds the largest degrees' sum, so checking that sum
+    keeps every slot of every packed sum below its guard."""
+    # the largest degree (slot 0) on each side, summed
+    degree = sum(max(map(_SLOT_MASK.__and__, m), default=0) for m in (left, right))
+    if degree > _SLOT_MAX:
+        raise ValueError(f"degree of the product exceeds {_SLOT_MAX}")
+
+
 def pairwise_products(
     left: Mapping[CycloProduct, int], right: Mapping[CycloProduct, int]
 ) -> Dict[CycloProduct, int]:
     """Every product p * q over p in left and q in right, with count
     left[p] * right[q] summed over the pairs that give one product.
 
-    The packed integers are added and each distinct sum is wrapped once.  No
-    pair's degree exceeds the largest degrees' sum, so checking that sum
-    keeps every slot of every sum below its guard.
+    The packed integers are added and each distinct sum is wrapped once.
     """
-    # the largest degree (slot 0) on each side, summed
-    degree = sum(max(map(_SLOT_MASK.__and__, m), default=0) for m in (left, right))
-    if degree > _SLOT_MAX:
-        raise ValueError(f"degree of the product exceeds {_SLOT_MAX}")
+    _check_product_degree(left, right)
     counts: Dict[int, int] = {}
     get = counts.get
     rights = list(right.items())
@@ -285,6 +288,15 @@ def pairwise_products(
             key = p + q
             counts[key] = get(key, 0) + c1 * c2
     return dict(zip(map(CycloProduct, counts), counts.values()))
+
+
+def sumset(
+    left: Collection[CycloProduct], right: Collection[CycloProduct]
+) -> FrozenSet[CycloProduct]:
+    """Every product p * q over p in left and q in right, once: the support
+    of ``pairwise_products``, with no counts to keep."""
+    _check_product_degree(left, right)
+    return frozenset(map(CycloProduct, {p + q for p in left for q in right}))
 
 
 def max_exponents(products: Iterable[CycloProduct]) -> Dict[int, int]:
@@ -363,15 +375,6 @@ def ord_p_power_diff(p: int, a: int, b: int, n: int) -> int:
     if n % f:
         return 0
     return _valuation(a**f - b**f, p) + _valuation(n, p)
-
-
-def p_contribution(m: int, p: int) -> int:
-    """Largest power of p dividing m (m >= 1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return p ** _valuation(m, p)
 
 
 # --- integer factorization -------------------------------------------------
@@ -490,11 +493,3 @@ def factorize(m: int) -> Dict[int, int]:
         stack.append(v // d)
     return dict(sorted(out.items()))
 
-
-def largest_prime_power_divisor(m: int) -> Tuple[int, int]:
-    """The (p, e) maximizing p^e over the prime-power contributions to m >= 2."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    fac = factorize(m)
-    best = max(fac.items(), key=lambda pe: pe[0] ** pe[1])
-    return best

@@ -9,12 +9,13 @@ give the block degrees, and the residual family is the exact quotient.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
-from .cyclotomic import CycloProduct, max_exponents, pairwise_products
+from .cyclotomic import CycloProduct, max_exponents, sumset
 from .errors import AmbiguousBlock, NotAWeylFamily, WeylOrdersError
 from .rootsystem import (
     SemisimpleType,
@@ -25,7 +26,7 @@ from .rootsystem import (
     render,
     types_with_degrees,
 )
-from .weylchar import CharPolyTable, charpolys, invariant_profile, simple_table
+from .weylchar import invariant_profile, poly_set, simple_table
 
 __all__ = [
     "CharPolyFamily",
@@ -54,10 +55,6 @@ class CharPolyFamily:
                 raise NotAWeylFamily(
                     f"entry {p} has degree {p.degree}, family rank is {self.rank}"
                 )
-
-    @staticmethod
-    def from_table(table: CharPolyTable) -> "CharPolyFamily":
-        return CharPolyFamily(table.poly_set(), table.type_label.rank)
 
 
 @dataclass(frozen=True)
@@ -96,16 +93,13 @@ def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
 
 def _predicted_family(
     factors: Tuple[SimpleType, ...], residual: FrozenSet[CycloProduct]
-) -> AbstractSet[CycloProduct]:
-    """Products of the block's polynomial set with the residual set.
+) -> FrozenSet[CycloProduct]:
+    """The sumset of the block's simple sets, then of that with the residual.
 
-    The block's set is formed from the simple tables directly, leaving the
-    prefix path of charpolys to the type being swept.
+    The block is summed from the simple tables directly, leaving the prefix
+    path of poly_set to the type being swept.
     """
-    block = {CycloProduct.one(): 1}
-    for f in factors:
-        block = pairwise_products(block, simple_table(f).entries)
-    return pairwise_products(block, dict.fromkeys(residual, 1)).keys()
+    return functools.reduce(sumset, [*(simple_table(f).entries for f in factors), residual])
 
 
 def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]:
@@ -176,7 +170,7 @@ def reconstruct(fam: CharPolyFamily) -> SemisimpleType:
         block, fam = peel_max_coxeter(fam)
         factors.extend(block.factors)
     result = SemisimpleType.of(*factors)
-    if charpolys(result).poly_set() != original.polys:
+    if poly_set(result) != original.polys:
         raise NotAWeylFamily(
             f"family is not the polynomial set of {render(result)} "
             "or of any other catalogued type"
@@ -209,6 +203,9 @@ def verify_determination(
     """Exhaustively verify that distinct types have distinct polynomial sets,
     that reconstruction round-trips, and that invariant profiles separate types.
 
+    Each type's set comes from poly_set: the sweep forms one sumset per
+    product type and builds no counted table beyond the simple ones.
+
     Set collisions come from the round trips.  reconstruct is a function of
     the set and returns a type only if that type's set is the input, so a
     type t that comes back as u != t shares its set with u: (u, t) is a
@@ -224,7 +221,7 @@ def verify_determination(
     for t in all_semisimple_types(rank_bound, alphabet):
         report.types_checked += 1
         try:
-            got = reconstruct(CharPolyFamily(charpolys(t).poly_set(), t.rank))
+            got = reconstruct(CharPolyFamily(poly_set(t), t.rank))
         except WeylOrdersError as exc:
             report.roundtrip_failures.append(f"{render(t)}: {exc}")
         else:

@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .cyclotomic import (CycloProduct, IntPoly, cyclotomic, euler_phi,
-                         factor_power_minus_one, pairwise_products)
+                         factor_power_minus_one, pairwise_products, sumset)
 from .rootsystem import (
     EXCEPTIONAL,
     SemisimpleType,
@@ -39,6 +39,7 @@ __all__ = [
     "charpolys_exceptional",
     "charpolys_enumerated",
     "charpolys",
+    "poly_set",
     "seed_table",
     "ch_star",
     "mu",
@@ -340,12 +341,11 @@ def charpolys_exceptional(t: SimpleType) -> CharPolyTable:
 _table_memo: Dict[SimpleType, CharPolyTable] = {}
 _memo_lock = threading.Lock()
 
-# The prefix path: for the last type requested, the product table over its
-# first k + 1 factors at index k.  The tuple is replaced in one assignment,
-# so a concurrent reader sees an old path or a new one, never a half-built
-# one.
-_path: Tuple[CharPolyTable, ...] = ()
-_EMPTY = CharPolyTable(SemisimpleType(()), {CycloProduct.one(): 1})
+# The prefix path: for the last type asked of poly_set, its factor at index k
+# with the polynomial set over its first k + 1 factors.  The tuple is
+# replaced in one assignment, so a concurrent reader sees an old path or a
+# new one, never a half-built one.
+_path: Tuple[Tuple[SimpleType, FrozenSet[CycloProduct]], ...] = ()
 
 
 def seed_table(table: CharPolyTable) -> None:
@@ -378,30 +378,34 @@ def simple_table(t: SimpleType) -> CharPolyTable:
     return _table_memo[t]
 
 
-def _convolve(left: CharPolyTable, right: CharPolyTable, t: SemisimpleType) -> CharPolyTable:
-    return CharPolyTable(t, pairwise_products(left.entries, right.entries))
-
-
 def charpolys(t: SemisimpleType) -> CharPolyTable:
-    """Table for a semisimple type: convolution product over the factors.
+    """Table for a semisimple type, with counts: the convolution product of
+    its factors' tables.  Nothing is kept between calls, since the charpolys
+    command asks for one type per process; sets come from poly_set."""
+    return CharPolyTable(t, functools.reduce(
+        pairwise_products, (simple_table(f).entries for f in t.factors),
+        {CycloProduct.one(): 1}))
+
+
+def poly_set(t: SemisimpleType) -> FrozenSet[CycloProduct]:
+    """The set of characteristic polynomials of a semisimple type, without
+    counts: the sumset of its factors' sets.
 
     The longest prefix of t.factors on the prefix path is reused; only the
-    remaining factors are convolved, so a sweep that adds one factor per type
-    does one convolution per type, and a repeated request is a lookup.
+    remaining factors are added, so a sweep that adds one factor per type
+    forms one sumset per product type, and a repeated request is a lookup.
     """
     global _path
     path = list(_path[: len(t.factors)])
     k = 0
-    while k < len(path) and path[k].type_label.factors == t.factors[: k + 1]:
+    while k < len(path) and path[k][0] == t.factors[k]:
         k += 1
     del path[k:]
     for f in t.factors[k:]:
         table = simple_table(f)
-        if path:
-            table = _convolve(path[-1], table, SemisimpleType(t.factors[: len(path) + 1]))
-        path.append(table)
+        path.append((f, sumset(path[-1][1], table.entries) if path else table.poly_set()))
     _path = tuple(path)
-    return path[-1] if path else _EMPTY
+    return path[-1][1] if path else frozenset({CycloProduct.one()})
 
 
 # --- invariants ---------------------------------------------------------------

@@ -14,10 +14,9 @@ from weylorders.cyclotomic import (
     factor_power_minus_one,
     factorize,
     is_prime,
-    largest_prime_power_divisor,
     ord_p_power_diff,
-    p_contribution,
     pairwise_products,
+    sumset,
 )
 from weylorders.errors import FactorizationLimitError
 
@@ -138,6 +137,21 @@ def test_pairwise_products_multiplies_counts():
         pairwise_products({half: 1}, {CycloProduct.one(): 1, half: 1})
 
 
+def test_sumset_refuses_degrees_past_the_slot_bound():
+    # degrees 16,383 and 16,384: their sum 32,767 is the most a product holds
+    low, high = (CycloProduct.from_mapping({1: e, 2: 1}) for e in (16382, 16383))
+    left, right = {CycloProduct.one(), low}, {CycloProduct.from_mapping({3: 1}), high}
+    got = sumset(left, right)
+    assert got == pairwise_products(dict.fromkeys(left, 1), dict.fromkeys(right, 1)).keys()
+    assert all(type(k) is CycloProduct for k in got)
+    assert max(p.degree for p in got) == 32767
+    for bad in ({high}, right):
+        with pytest.raises(ValueError, match="exceeds 32767"):
+            sumset(bad, right)
+        with pytest.raises(ValueError, match="exceeds 32767"):
+            pairwise_products(dict.fromkeys(bad, 1), dict.fromkeys(right, 1))
+
+
 def test_ord_p_power_diff_examples():
     assert ord_p_power_diff(3, 2, 1, 6) == 2  # 63 = 3^2 * 7
     assert ord_p_power_diff(7, 2, 1, 3) == 1
@@ -184,30 +198,6 @@ def test_ord_2_both_congruence_cases():
     assert ord_p_power_diff(2, 3, 1, 4) == _direct_valuation(3**4 - 1, 2)
     assert ord_p_power_diff(2, 7, 3, 6) == _direct_valuation(7**6 - 3**6, 2)
     assert ord_p_power_diff(2, 9, 5, 12) == _direct_valuation(9**12 - 5**12, 2)
-
-
-def test_p_contribution():
-    assert p_contribution(720, 3) == 9
-    assert p_contribution(7, 2) == 1
-    assert p_contribution(51840, 2) == 128
-    with pytest.raises(ValueError):
-        p_contribution(0, 2)
-
-
-def test_p_contribution_divides_and_coprime():
-    for m in (1, 2, 12, 720, 51840, 2**20 * 3**7):
-        for p in (2, 3, 5, 7):
-            c = p_contribution(m, p)
-            assert m % c == 0
-            assert math.gcd(m // c, p) == 1
-
-
-def test_largest_prime_power_divisor():
-    assert largest_prime_power_divisor(720) == (2, 4)
-    assert largest_prime_power_divisor(51840) == (2, 7)
-    assert largest_prime_power_divisor(49) == (7, 2)
-    with pytest.raises(ValueError):
-        largest_prime_power_divisor(1)
 
 
 def test_factorize_roundtrip():

@@ -12,12 +12,12 @@ from weylorders.reconstruct import (
     verify_determination,
 )
 from weylorders.rootsystem import SimpleType, all_semisimple_types, parse_type, render
-from weylorders.weylchar import charpolys
+from weylorders.weylchar import CharPolyTable, charpolys, poly_set
 
 
 def fam_of(expr: str) -> CharPolyFamily:
-    table = charpolys(parse_type(expr))
-    return CharPolyFamily.from_table(table)
+    t = parse_type(expr)
+    return CharPolyFamily(poly_set(t), t.rank)
 
 
 def test_family_validation():
@@ -152,34 +152,43 @@ def test_verify_determination_report_shape():
 
 
 def test_sweep_convolves_once_per_product_type(monkeypatch):
+    # the set analogue of one convolution per product type is one sumset,
+    # and once the simple tables exist no counted table is built
+    tables = {t: charpolys(t) for t in all_semisimple_types(8, "ABDGF")}
+    products = [t for t in tables if len(t.factors) > 1]
+    assert len(products) == 329
     calls = []
-    convolve = weylchar._convolve
+    genuine = weylchar.sumset
 
-    def counted(left, right, t):
-        calls.append(t)
-        return convolve(left, right, t)
+    def counted(left, right):
+        calls.append(genuine(left, right))
+        return calls[-1]
 
-    monkeypatch.setattr(weylchar, "_convolve", counted)
+    def refused(*args):
+        raise AssertionError("a counted table was built")
+
+    monkeypatch.setattr(weylchar, "sumset", counted)
     monkeypatch.setattr(weylchar, "_path", ())
+    monkeypatch.setattr(weylchar, "pairwise_products", refused)
+    monkeypatch.setattr(CharPolyTable, "validate", refused)
     report = verify_determination(8, alphabet="ABDGF")
     assert report.ok
-    products = [t for t in all_semisimple_types(8, "ABDGF") if len(t.factors) > 1]
-    assert len(products) == 329
-    assert calls == products
+    assert report.types_checked == len(tables)
+    assert calls == [tables[t].poly_set() for t in products]
 
 
 @pytest.mark.parametrize("expr", ["D4xG2xA1", "B3xB3xA2", "G2xG2xD4"])
 def test_reconstruct_certificate_is_a_lookup(monkeypatch, expr):
     # each type has a block that two factor multisets cover, so it is screened
     t = parse_type(expr)
-    table = charpolys(t)
+    polys = poly_set(t)
 
-    def no_convolution(left, right, t):
-        raise AssertionError(f"{render(t)} was convolved again")
+    def no_sumset(left, right):
+        raise AssertionError(f"a set of {render(t)} was summed again")
 
-    monkeypatch.setattr(weylchar, "_convolve", no_convolution)
-    assert reconstruct(CharPolyFamily.from_table(table)) == t
-    assert charpolys(t) is table
+    monkeypatch.setattr(weylchar, "sumset", no_sumset)
+    assert reconstruct(CharPolyFamily(polys, t.rank)) == t
+    assert poly_set(t) is polys
 
 
 def test_collision_check_reports_equal_sets(monkeypatch):
@@ -187,9 +196,9 @@ def test_collision_check_reports_equal_sets(monkeypatch):
     a1a3, a2b2 = parse_type("A1xA3"), parse_type("A2xB2")
 
     def forged(t):
-        return charpolys(a1a3 if t == a2b2 else t)
+        return poly_set(a1a3 if t == a2b2 else t)
 
-    monkeypatch.setattr(reconstruct_module, "charpolys", forged)
+    monkeypatch.setattr(reconstruct_module, "poly_set", forged)
     report = verify_determination(4)
     assert report.chset_collisions == [("A1xA3", "A2xB2")]
 

@@ -24,6 +24,7 @@ from weylorders.weylchar import (
     mu,
     mu_joint,
     mu_prime,
+    poly_set,
     seed_table,
 )
 
@@ -402,10 +403,12 @@ def _naive_charpolys(t):
     return entries
 
 
-def test_charpolys_matches_naive_convolution():
+def _requests(seed):
+    """Every ABDGF type of rank <= 6 in shuffled order, each followed by a
+    repeat of an earlier request and by a prefix of one."""
     from weylorders.rootsystem import SemisimpleType, all_semisimple_types
 
-    rng = random.Random(11)
+    rng = random.Random(seed)
     types = list(all_semisimple_types(6, "ABDGF"))
     rng.shuffle(types)
     requests = []
@@ -414,20 +417,30 @@ def test_charpolys_matches_naive_convolution():
         earlier = rng.choice(requests)
         requests.append(earlier)  # a repeat
         requests.append(SemisimpleType(earlier.factors[: rng.randint(1, len(earlier.factors))]))
-    for t in requests:
+    return requests
+
+
+def test_charpolys_matches_naive_convolution():
+    for t in _requests(11):
         table = charpolys(t)
         assert table.type_label == t
         assert table.group_order == weyl_order(t)
         assert table.entries == _naive_charpolys(t)
+
+
+def test_poly_set_matches_charpolys():
+    for t in _requests(12):
+        assert poly_set(t) == charpolys(t).poly_set()
         assert len(weylchar._path) == len(t.factors)
 
 
 def test_charpolys_repeat_is_a_lookup():
+    # the polynomial set of a repeated request comes off the prefix path
     t = parse_type("A1xB2xG2")
-    assert charpolys(t) is charpolys(t)
-    prefix = weylchar._path[1]
-    assert prefix.type_label == parse_type("A1xB2")
-    assert charpolys(parse_type("A1xB2")) is prefix
+    assert poly_set(t) is poly_set(t)
+    prefix = weylchar._path[1][1]
+    assert [f for f, _ in weylchar._path[:2]] == list(parse_type("A1xB2").factors)
+    assert poly_set(parse_type("A1xB2")) is prefix
 
 
 def test_concurrent_prefix_path():
@@ -437,15 +450,14 @@ def test_concurrent_prefix_path():
     from weylorders.rootsystem import all_semisimple_types
 
     types = list(all_semisimple_types(5))
-    expected = {t: dict(charpolys(t).entries) for t in types}
+    expected = {t: charpolys(t).poly_set() for t in types}
     failures = []
 
     def worker(seed):
         order = list(types)
         random.Random(seed).shuffle(order)
         for t in order:
-            table = charpolys(t)
-            if table.type_label != t or table.entries != expected[t]:
+            if poly_set(t) != expected[t]:
                 failures.append(t)
 
     threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
@@ -489,7 +501,7 @@ def test_seed_table_is_write_once(monkeypatch):
     table = weylchar.simple_table(g2.factors[0])
     seed_table(CharPolyTable(g2, dict(table.entries)))  # equal: a no-op
     assert weylchar._table_memo[g2.factors[0]] is table
-    charpolys(parse_type("A1xG2"))
+    poly_set(parse_type("A1xG2"))
     memo, path, profile = dict(weylchar._table_memo), weylchar._path, invariant_profile(g2)
     assert mu_joint(g2, 2, 6) == profile.mu_joint[(2, 6)] == 2
     # passes validate(), but no element has e_2 + e_6 = 2
@@ -544,4 +556,5 @@ def test_e8_table_flow_with_seeded_table(monkeypatch, e8_table):
     seed_table(e8_table)
     table = charpolys(parse_type("E8xA1"))
     assert table.group_order == 2 * weyl_order(parse_type("E8"))
+    assert poly_set(parse_type("E8xA1")) == table.poly_set()
     assert mu_prime(parse_type("E8"), 30) == 0
