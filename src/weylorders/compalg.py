@@ -6,10 +6,13 @@ vector-matrix construction; hermitian 3x3 octonion matrices with the product
 (XY + YX)/2 realize the Jordan algebra, whose quadratic form is computed
 both from the trace and from its explicit expansion.
 
-Products run on integer coordinates: the values over F_p, the numerators
-over a common denominator over Q.  Each output coordinate is reduced or
-turned into a Fraction once.  The form gamma may be given as plain ints;
-they become field elements when the element is built.
+Every operation runs on integer coordinates: the values over F_p, the
+numerators over a common denominator over Q.  Each output coordinate is
+reduced or turned into a Fraction once.  _raw, which reads the coordinates,
+is the one field check: operands from different fields raise FieldMismatch.
+A plain int coordinate is rational, but a plain int scalar (of oct_scale, or
+in gamma) is valid in any field; gamma's ints become field elements when the
+element is built.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ class Fp:
             return other
         if isinstance(other, int):
             return Fp(other, self.p)
+        if isinstance(other, Fraction):
+            raise FieldMismatch(f"mixed fields F_{self.p} and Q")
         return NotImplemented
 
     def __add__(self, other):
@@ -150,43 +155,16 @@ class RationalField:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-Mat2 = Tuple  # (a, b, c, d) for [[a, b], [c, d]]
-
-
-def _m_add(x: Mat2, y: Mat2) -> Mat2:
-    return tuple(u + v for u, v in zip(x, y))
-
-
-def _m_neg(x: Mat2) -> Mat2:
-    return tuple(-u for u in x)
-
-
-def _m_adj(x: Mat2) -> Mat2:
-    a, b, c, d = x
-    return (d, -b, -c, a)
-
-
-def _m_det(x: Mat2):
-    a, b, c, d = x
-    return a * d - b * c
-
-
-def _m_scale(s, x: Mat2) -> Mat2:
-    return tuple(s * u for u in x)
-
-
 @dataclass(frozen=True)
 class Octonion:
     """A split octonion: a pair of 2x2 matrices over the coefficient field."""
 
-    x: Mat2
-    y: Mat2
+    x: Tuple  # (a, b, c, d) for [[a, b], [c, d]]
+    y: Tuple
 
     def scalar_part_or_none(self):
-        a, b, c, d = self.x
-        if b or c or any(self.y) or a != d:
-            return None
-        return a
+        p, _, n = _raw(self.x + self.y)
+        return self.x[0] if _is_scalar(n, p) else None
 
 
 def _raw(coords) -> Tuple[int, int, List[int]]:
@@ -227,37 +205,54 @@ def _omul(a, b) -> Tuple[int, ...]:
     )
 
 
+def _pair(a: Octonion, b: Octonion):
+    """(p, d, ints of a, ints of b): _raw of both operands' 16 coordinates."""
+    p, d, n = _raw(a.x + a.y + b.x + b.y)
+    return p, d, n[:8], n[8:]
+
+
 def oct_mul(a: Octonion, b: Octonion) -> Octonion:
     """Vector-matrix product (x, y)(u, v) = (xu + adj(v) y, v x + y adj(u))."""
-    p, d, ra = _raw(a.x + a.y)
-    q, e, rb = _raw(b.x + b.y)
-    if p != q:
-        raise FieldMismatch("operands live in different coefficient fields")
-    return _wrap(p, d * e, _omul(ra, rb))
+    p, d, m, n = _pair(a, b)
+    return _wrap(p, d * d, _omul(m, n))
 
 
 def oct_norm(a: Octonion):
-    return _m_det(a.x) - _m_det(a.y)
+    """det(x) - det(y), as one field element."""
+    p, d, (x0, x1, x2, x3, y0, y1, y2, y3) = _raw(a.x + a.y)
+    v = x0 * x3 - x1 * x2 - y0 * y3 + y1 * y2
+    return Fp(v, p) if p else Fraction(v, d * d)
 
 
 def oct_conj(a: Octonion) -> Octonion:
-    return Octonion(_m_adj(a.x), _m_neg(a.y))
+    """(x, y) -> (adj(x), -y)."""
+    p, d, n = _raw(a.x + a.y)
+    return _wrap(p, d, _conj(n))
 
 
 def oct_add(a: Octonion, b: Octonion) -> Octonion:
-    return Octonion(_m_add(a.x, b.x), _m_add(a.y, b.y))
+    p, d, m, n = _pair(a, b)
+    return _wrap(p, d, [u + v for u, v in zip(m, n)])
 
 
 def oct_sub(a: Octonion, b: Octonion) -> Octonion:
-    return oct_add(a, oct_neg(b))
+    p, d, m, n = _pair(a, b)
+    return _wrap(p, d, [u - v for u, v in zip(m, n)])
 
 
 def oct_neg(a: Octonion) -> Octonion:
-    return Octonion(_m_neg(a.x), _m_neg(a.y))
+    return oct_scale(-1, a)
 
 
 def oct_scale(s, a: Octonion) -> Octonion:
-    return Octonion(_m_scale(s, a.x), _m_scale(s, a.y))
+    """s a.  A plain int s is a scalar in any field, though an int coordinate
+    is rational; any other s goes through _raw with the coordinates."""
+    if isinstance(s, int):
+        p, d, n = _raw(a.x + a.y)
+    else:
+        p, d, n = _raw(a.x + a.y + (s,))
+        s, d = n.pop(), d * d
+    return _wrap(p, d, [s * v for v in n])
 
 
 def oct_unit(field) -> Octonion:
@@ -470,15 +465,11 @@ class E0Space:
     form: Callable
 
 
-def e0_basis(field, gamma=None) -> E0Space:
+def e0_basis(field) -> E0Space:
     """Basis and quadratic form of the subspace orthogonal to 1 and u and
-    killed by u; the form evaluates to x^2 - N(c)."""
+    killed by u, for gamma = (1, -1, 1); the form evaluates to x^2 - N(c)."""
     o = field.one
-    default = (o, -o, o)
-    if gamma is not None and _in_field(field.p, gamma)[0] != default:
-        raise ValueError("the rank-1 configuration requires gamma = (1, -1, 1)")
-    gamma = default
-
+    gamma = (o, -o, o)
     zo = oct_zero(field)
     z = field.zero
 

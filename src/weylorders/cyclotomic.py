@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-import threading
 from dataclasses import dataclass
 from typing import Collection, Dict, FrozenSet, Iterable, Mapping, Tuple
 
@@ -128,24 +127,16 @@ def euler_phi(n: int) -> int:
     return out
 
 
-_cyclo_cache: Dict[int, IntPoly] = {1: IntPoly((-1, 1))}
-_cyclo_lock = threading.Lock()
-
-
+@functools.cache
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    got = _cyclo_cache.get(n)
-    if got is not None:
-        return got
     poly = IntPoly.x_power_minus_one(n)
     for e in range(1, n):
         if n % e == 0:
             poly = poly.exact_div(cyclotomic(e))
-    with _cyclo_lock:
-        _cyclo_cache.setdefault(n, poly)
-    return _cyclo_cache[n]
+    return poly
 
 
 # Packed layout of a CycloProduct: slot d (bits _WIDTH*d and up) holds the

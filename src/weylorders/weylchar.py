@@ -15,7 +15,7 @@ import math
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -422,7 +422,7 @@ def ch_star(t: SemisimpleType) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def mu(t: SemisimpleType, i: int) -> int:
+def mu(t: Union[SimpleType, SemisimpleType], i: int) -> int:
     """Number of fundamental degrees divisible by i; equals the maximal
     phi_i-exponent over the table when one exists."""
     if i < 1:
@@ -431,7 +431,7 @@ def mu(t: SemisimpleType, i: int) -> int:
 
 
 def _mu_prime_simple(f: SimpleType, i: int) -> int:
-    top = mu(SemisimpleType.of(f), i)
+    top = mu(f, i)
     if top == 0:
         return 0
     return min(p.exponent(2) for p in simple_table(f).entries if p.exponent(i) == top)
@@ -445,8 +445,7 @@ def mu_prime(t: SemisimpleType, i: int) -> int:
 
 
 def _mu_joint_simple(f: SimpleType, i: int, j: int) -> int:
-    ft = SemisimpleType.of(f)
-    mi, mj = mu(ft, i), mu(ft, j)
+    mi, mj = mu(f, i), mu(f, j)
     if mi == 0 or mj == 0:
         return mi + mj
     return max(p.exponent(i) + p.exponent(j) for p in simple_table(f).entries)
@@ -490,18 +489,14 @@ class InvariantProfile:
 # over factors, so mu_{i,j} of a product is mu_i + mu_j minus the deficits of
 # its factors at (i, j).
 _Parts = Tuple[Dict[int, int], Dict[int, int], Dict[Tuple[int, int], int]]
-_profile_parts: Dict[SimpleType, _Parts] = {}
 
 
+@functools.cache
 def _factor_profile(f: SimpleType) -> _Parts:
-    got = _profile_parts.get(f)
-    if got is not None:
-        return got
-    ft = SemisimpleType.of(f)
     # the indices of the table are ch_star(f); reading them off the table
     # builds it first, which refuses a rank beyond what a CycloProduct holds
     positive = sorted(simple_table(f).indices())
-    mus = {i: mu(ft, i) for i in positive}
+    mus = {i: mu(f, i) for i in positive}
     primes = {i: _mu_prime_simple(f, i) for i in positive if i > 2}
     deficits = {}
     for a_idx, i in enumerate(positive):
@@ -509,8 +504,7 @@ def _factor_profile(f: SimpleType) -> _Parts:
             deficit = mus[i] + mus[j] - _mu_joint_simple(f, i, j)
             if deficit:
                 deficits[(i, j)] = deficit
-    _profile_parts[f] = got = (mus, primes, deficits)
-    return got
+    return mus, primes, deficits
 
 
 def invariant_profile(t: SemisimpleType) -> InvariantProfile:

@@ -203,6 +203,21 @@ def test_collision_check_reports_equal_sets(monkeypatch):
     assert report.chset_collisions == [("A1xA3", "A2xB2")]
 
 
+def test_profile_collision_check_reports_equal_profiles(monkeypatch):
+    # A2xB2 is given A1xA3's profile; the two share their degrees 2, 2, 3, 4
+    a1a3, a2b2 = parse_type("A1xA3"), parse_type("A2xB2")
+    genuine = reconstruct_module.invariant_profile
+
+    def forged(t):
+        return genuine(a1a3 if t == a2b2 else t)
+
+    monkeypatch.setattr(reconstruct_module, "invariant_profile", forged)
+    report = verify_determination(4)
+    assert report.profile_collisions == [("A1xA3", "A2xB2")]
+    assert report.chset_collisions == [] and report.roundtrip_failures == []
+    assert not report.ok
+
+
 def test_round_trip_that_raises_is_reported(monkeypatch):
     b3g2 = parse_type("B3xG2")
     genuine = reconstruct_module.reconstruct
