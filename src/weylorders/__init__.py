@@ -2,8 +2,8 @@
 
 Subpackages by topic:
 
-- ``cyclotomic``: integer polynomials, cyclotomic factorizations, valuations,
-  integer factorization utilities;
+- ``cyclotomic``: products of cyclotomic polynomials, cyclotomic values,
+  valuations, integer factorization utilities;
 - ``rootsystem``: the classification data (degrees, root counts, Weyl orders,
   reflection generators) and type-expression parsing;
 - ``weylchar``: characteristic-polynomial tables and the mu invariants;

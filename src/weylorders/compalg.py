@@ -107,6 +107,10 @@ class Fp:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return Fp(self.value * pow(o.value, -1, self.p), self.p)
 
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else o / self
+
     def __neg__(self):
         return Fp(-self.value, self.p)
 

@@ -1,8 +1,8 @@
-"""Exact integer-polynomial and p-adic-valuation arithmetic.
+"""Exact cyclotomic and p-adic-valuation arithmetic.
 
-Cyclotomic polynomials, the factorization of x^d - 1, evaluation at prime
-powers, valuation rules for a^n - b^n, and integer factorization utilities
-(trial division by the 13 smallest primes, then Brent's rho, with
+Products of cyclotomic polynomials, the factorization of x^d - 1, cyclotomic
+values at integers, valuation rules for a^n - b^n, and integer factorization
+utilities (trial division by the 13 smallest primes, then Brent's rho, with
 deterministic primality certification).
 All arithmetic is arbitrary-precision; nothing here touches floating point.
 """
@@ -12,20 +12,17 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from typing import Collection, Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import FactorizationLimitError
 
 __all__ = [
-    "IntPoly",
     "CycloProduct",
     "pairwise_products",
     "sumset",
     "max_exponents",
-    "cyclotomic",
+    "cyclotomic_value",
     "factor_power_minus_one",
-    "eval_cyclo_product",
     "ord_p_power_diff",
     "factorize",
     "is_prime",
@@ -35,80 +32,6 @@ __all__ = [
 
 #: Inputs at or above this bound are rejected rather than factored.
 FACTOR_INPUT_LIMIT = 1 << 400
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """Dense integer polynomial, constant term first.
-
-    The zero polynomial is the empty tuple; otherwise the leading
-    coefficient is nonzero and degree == len(coeffs) - 1.
-    """
-
-    coeffs: Tuple[int, ...]
-
-    @staticmethod
-    def make(coeffs: Iterable[int]) -> "IntPoly":
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        return IntPoly(tuple(c))
-
-    @staticmethod
-    def x_power_minus_one(d: int) -> "IntPoly":
-        if d < 1:
-            raise ValueError("exponent must be >= 1")
-        return IntPoly((-1,) + (0,) * (d - 1) + (1,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if not self.coeffs or not other.coeffs:
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(tuple(out))
-
-    def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """Exact quotient self / other; raises ValueError on any remainder."""
-        q, r = self.divmod(other)
-        if r.coeffs:
-            raise ValueError("polynomial division left a remainder")
-        return q
-
-    def divmod(self, other: "IntPoly") -> Tuple["IntPoly", "IntPoly"]:
-        """Division with remainder by a monic divisor."""
-        if not other.coeffs:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if other.coeffs[-1] != 1:
-            raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return IntPoly(()), self
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree]
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return IntPoly.make(quot), IntPoly.make(rem)
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 @functools.cache
@@ -128,15 +51,12 @@ def euler_phi(n: int) -> int:
 
 
 @functools.cache
-def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
-    if n < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    poly = IntPoly.x_power_minus_one(n)
-    for e in range(1, n):
-        if n % e == 0:
-            poly = poly.exact_div(cyclotomic(e))
-    return poly
+def cyclotomic_value(n: int, q: int) -> int:
+    """phi_n(q) for q >= 2: q^n - 1 divided exactly by phi_d(q) over the
+    proper divisors d of n."""
+    if n < 1 or q < 2:
+        raise ValueError(f"phi_{n}({q}) needs n >= 1 and q >= 2")
+    return (q**n - 1) // math.prod(cyclotomic_value(d, q) for d in range(1, n) if n % d == 0)
 
 
 # Packed layout of a CycloProduct: slot d (bits _WIDTH*d and up) holds the
@@ -239,14 +159,6 @@ class CycloProduct(int):
             raise ValueError(f"{other} does not divide {self}")
         return CycloProduct(diff ^ guards)
 
-    def to_poly(self) -> IntPoly:
-        out = IntPoly((1,))
-        for d, t in self.exps:
-            f = cyclotomic(d)
-            for _ in range(t):
-                out = out * f
-        return out
-
     def __str__(self) -> str:
         return "*".join(
             f"phi{d}" if t == 1 else f"phi{d}^{t}" for d, t in self.exps
@@ -312,10 +224,6 @@ def factor_power_minus_one(d: int) -> CycloProduct:
     if d < 1:
         raise ValueError("d must be >= 1")
     return CycloProduct.from_mapping({e: 1 for e in range(1, d + 1) if d % e == 0})
-
-
-def eval_cyclo_product(p: CycloProduct, q: int) -> int:
-    return math.prod(cyclotomic(d)(q) ** t for d, t in p.exps)
 
 
 def _valuation(m: int, p: int) -> int:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .cyclotomic import cyclotomic, factorize, is_prime
+from .cyclotomic import cyclotomic_value, factorize, is_prime
 from .errors import WeylOrdersError
 from .rootsystem import (
     SemisimpleType,
@@ -127,7 +127,7 @@ def p_contribution_is_largest(t: SemisimpleType, q: int) -> Tuple[bool, Contribu
     char_power = fo.q**fo.n_exp
     rest: Dict[int, int] = {}
     for e, c in Counter(e for d in fo.degrees for e in range(1, d + 1) if d % e == 0).items():
-        for r, k in factorize(cyclotomic(e)(fo.q)).items():
+        for r, k in factorize(cyclotomic_value(e, fo.q)).items():
             rest[r] = rest.get(r, 0) + c * k
     rp, re = max(rest.items(), key=lambda pe: pe[0] ** pe[1])
     witness = ContributionWitness(fo.p, char_power, rp, rp**re)

@@ -68,14 +68,16 @@ class SimpleType:
         return f"{self.letter}{self.rank}"
 
 
-# The exceptional simple types, whose tables are enumerated (weylchar).
-EXCEPTIONAL = (
-    SimpleType("G", 2),
-    SimpleType("F", 4),
-    SimpleType("E", 6),
-    SimpleType("E", 7),
-    SimpleType("E", 8),
-)
+# The exceptional simple types, whose tables are enumerated (weylchar): their
+# fundamental degrees and the node of table_parabolic.
+_EXCEPTIONAL_ROWS = {
+    SimpleType("G", 2): ((2, 6), 0),
+    SimpleType("F", 4): ((2, 6, 8, 12), 3),
+    SimpleType("E", 6): ((2, 5, 6, 8, 9, 12), 0),
+    SimpleType("E", 7): ((2, 6, 8, 10, 12, 14, 18), 5),
+    SimpleType("E", 8): ((2, 8, 12, 14, 18, 20, 24, 30), 1),
+}
+EXCEPTIONAL = tuple(_EXCEPTIONAL_ROWS)
 
 
 def _simple_degrees(t: SimpleType) -> Tuple[int, ...]:
@@ -86,13 +88,7 @@ def _simple_degrees(t: SimpleType) -> Tuple[int, ...]:
         return tuple(range(2, 2 * n + 1, 2))
     if t.letter == "D":
         return tuple(sorted(list(range(2, 2 * n - 1, 2)) + [n]))
-    return {
-        ("G", 2): (2, 6),
-        ("F", 4): (2, 6, 8, 12),
-        ("E", 6): (2, 5, 6, 8, 9, 12),
-        ("E", 7): (2, 6, 8, 10, 12, 14, 18),
-        ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
-    }[(t.letter, n)]
+    return _EXCEPTIONAL_ROWS[t][0]
 
 
 @dataclass(frozen=True)
@@ -213,9 +209,7 @@ def table_parabolic(t: SimpleType) -> int:
     cosets of 40,320 elements each; via D7 it would be 10 of 322,560 and via
     E7 5 of 2,903,040.
     """
-    return {("G", 2): 0, ("F", 4): 3, ("E", 6): 0, ("E", 7): 5, ("E", 8): 1}[
-        (t.letter, t.rank)
-    ]
+    return _EXCEPTIONAL_ROWS[t][1]
 
 
 def reflection_generators(t: SimpleType) -> List[Tuple[Tuple[int, ...], ...]]:

@@ -4,8 +4,10 @@ Tables are computed combinatorially for the classical families (cycle types
 of permutations and signed permutations) and, for G2, F4, E6, E7 and E8, by
 exact integer enumeration: a coset chain of parabolic subgroups lists the
 elements, and a sum over the double cosets of one maximal parabolic subgroup
-counts each class function over the whole group.  Every table carries
-element counts so the group order acts as a correctness certificate.
+counts each class function over the whole group.  An element's class key
+(power sums and determinant) is looked up among the cyclotomic products of
+degree n.  Every table carries element counts so the group order acts as a
+correctness certificate.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .cyclotomic import (CycloProduct, IntPoly, cyclotomic, euler_phi,
-                         factor_power_minus_one, pairwise_products, sumset)
+from .cyclotomic import (CycloProduct, euler_phi, factor_power_minus_one,
+                         pairwise_products, sumset)
 from .rootsystem import (
     EXCEPTIONAL,
     SemisimpleType,
@@ -215,8 +217,8 @@ def _parabolic_elements(
 
 
 def _class_keys(mats: np.ndarray, dets: np.ndarray) -> np.ndarray:
-    """One int64 key per n x n matrix: (p_1, ..., p_h, det), h = n // 2, each
-    offset by n, as base-(2n + 1) digits, where p_k = tr M^k.
+    """One int64 key per n x n matrix: (p_1, ..., p_h, det) packed by _pack,
+    h = n // 2, where p_k = tr M^k.
 
     Eigenvalues of a Weyl group element are closed under inversion, so
     e_{n-k} = det * e_k and these values fix the characteristic polynomial.
@@ -231,52 +233,45 @@ def _class_keys(mats: np.ndarray, dets: np.ndarray) -> np.ndarray:
     for k in range(2, half + 1):
         cols.append(np.einsum("nij,nji->n", powers[(k + 1) // 2 - 1], powers[k // 2 - 1]))
     cols.append(dets)
-    packed = np.zeros(len(mats), dtype=np.int64)
-    for col in cols:  # every column lies in [-n, n]
+    return _pack(cols, n, np.zeros(len(mats), dtype=np.int64))
+
+
+def _pack(cols, n: int, packed=0):
+    """Columns with values in [-n, n], each offset by n, as base-(2n + 1)
+    digits, the first column the most significant."""
+    for col in cols:
         packed = packed * (2 * n + 1) + (col + n)
     return packed
 
 
-def _charpoly(key: int, n: int) -> IntPoly:
-    """Characteristic polynomial from a key of _class_keys, exactly.
-
-    Newton's identities give e_1, ..., e_{n//2}; the rest is e_{n-k} = det * e_k.
-    """
-    base = 2 * n + 1
-    *power_sums, det = [key // base**j % base - n for j in range(n // 2, -1, -1)]
-    e = [1] + [0] * n
-    for k in range(1, len(power_sums) + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * power_sums[i - 1]
-        if acc % k:
-            raise ArithmeticError("power sums are not those of an integer matrix")
-        e[k] = acc // k
-    for k in range(len(power_sums) + 1, n + 1):
-        e[k] = det * e[n - k]
-    return IntPoly.make((-1) ** (n - j) * e[n - j] for j in range(n + 1))
+@functools.cache
+def _root_power_sum(d: int, k: int) -> int:
+    """Sum of z^k over the primitive d-th roots of unity z: over all d-th
+    roots it is d when d | k and 0 otherwise."""
+    return (0 if k % d else d) - sum(_root_power_sum(e, k) for e in range(1, d) if d % e == 0)
 
 
-def _cyclo_candidates(n: int) -> List[int]:
-    return [d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n]
+@functools.cache
+def _products_by_key(n: int) -> Dict[int, CycloProduct]:
+    """Every cyclotomic product of degree n, under the _class_keys key of a
+    matrix with that characteristic polynomial: p_k adds up over the
+    factors, and det is (-1)^(phi_2 exponent)."""
+    # phi(d) >= sqrt(d / 2), so phi(d) <= n needs d <= 2n^2
+    ds = [d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n]
+    products: Dict[int, CycloProduct] = {}
 
+    def rec(start: int, left: int, factors: List[int]) -> None:
+        if not left:
+            sums = [sum(_root_power_sum(d, k) for d in factors) for k in range(1, n // 2 + 1)]
+            key = _pack(sums + [(-1) ** factors.count(2)], n)
+            products[key] = CycloProduct.from_mapping(Counter(factors))
+            return
+        for j in range(start, len(ds)):
+            if euler_phi(ds[j]) <= left:
+                rec(j, left - euler_phi(ds[j]), factors + [ds[j]])
 
-def _factor_into_cyclotomics(poly: IntPoly) -> CycloProduct:
-    exps: Dict[int, int] = {}
-    n = poly.degree
-    for d in _cyclo_candidates(n):
-        phi_d = cyclotomic(d)
-        while poly.degree >= phi_d.degree:
-            q, r = poly.divmod(phi_d)
-            if r.coeffs:
-                break
-            poly = q
-            exps[d] = exps.get(d, 0) + 1
-        if poly.is_one():
-            break
-    if not poly.is_one():
-        raise ArithmeticError("polynomial has a non-cyclotomic factor")
-    return CycloProduct.from_mapping(exps)
+    rec(0, n, [])
+    return products
 
 
 def _chain_table(t: SimpleType, node: Optional[int]) -> CharPolyTable:
@@ -315,11 +310,10 @@ def _chain_table(t: SimpleType, node: Optional[int]) -> CharPolyTable:
             keys, cnts = np.unique(_class_keys(xr @ k_mats, s * k_signs), return_counts=True)
             for key, cnt in zip(keys.tolist(), cnts.tolist()):
                 counts[key] = counts.get(key, 0) + weight * cnt
-    entries: Dict[CycloProduct, int] = {}
-    for key, cnt in counts.items():
-        poly = _factor_into_cyclotomics(_charpoly(key, n))
-        entries[poly] = entries.get(poly, 0) + cnt
-    return CharPolyTable(SemisimpleType.of(t), entries)
+    products = _products_by_key(n)
+    if not counts.keys() <= products.keys():
+        raise ArithmeticError("a characteristic polynomial is not a cyclotomic product")
+    return CharPolyTable(SemisimpleType.of(t), {products[key]: cnt for key, cnt in counts.items()})
 
 
 def charpolys_enumerated(t: SimpleType) -> CharPolyTable:

@@ -55,6 +55,14 @@ def test_prime_field_arithmetic():
         a + Fp(1, 11)
 
 
+def test_scalar_divided_by_fp_is_coerced():
+    assert 2 / Fp(3, 7) == Fp(3, 7)  # 3^-1 = 5 and 2 * 5 = 3 mod 7
+    with pytest.raises(FieldMismatch):
+        Fraction(1, 2) / Fp(1, 7)
+    with pytest.raises(ZeroDivisionError):
+        2 / Fp(0, 7)
+
+
 def test_prime_field_excludes_char_2_3():
     for p in (2, 3, 4, 9):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,7 @@ from hypothesis import strategies as st
 from weylorders.cyclotomic import (
     FACTOR_INPUT_LIMIT,
     CycloProduct,
-    IntPoly,
-    cyclotomic,
-    eval_cyclo_product,
+    cyclotomic_value,
     euler_phi,
     factor_power_minus_one,
     factorize,
@@ -21,35 +20,52 @@ from weylorders.cyclotomic import (
 from weylorders.errors import FactorizationLimitError
 
 
+def _eval(p, q):
+    """A cyclotomic product evaluated at q >= 2, one value per factor."""
+    return math.prod(cyclotomic_value(d, q) ** t for d, t in p.exps)
+
+
 def test_first_cyclotomics():
-    assert cyclotomic(1).coeffs == (-1, 1)
-    assert cyclotomic(2).coeffs == (1, 1)
-    assert cyclotomic(6).coeffs == (1, -1, 1)
-    assert cyclotomic(6)(2) == 3
+    assert [cyclotomic_value(d, 2) for d in (1, 2, 3, 4, 6)] == [1, 3, 7, 5, 3]
+    assert cyclotomic_value(6, 3) == 7  # phi_6 = x^2 - x + 1
+    assert cyclotomic_value(5, 10) == 11111
+    assert cyclotomic_value(12, 2) == 13  # phi_12 = x^4 - x^2 + 1
 
 
 def test_cyclotomic_rejects_zero():
-    with pytest.raises(ValueError):
-        cyclotomic(0)
+    for n, q in ((0, 2), (-1, 3), (3, 1), (3, 0), (2, -4)):
+        with pytest.raises(ValueError):
+            cyclotomic_value(n, q)
 
 
 def test_phi12_divides_x12_minus_one():
-    assert cyclotomic(12).degree == 4
-    prod = IntPoly((1,))
-    for e in (1, 2, 3, 4, 6, 12):
-        prod = prod * cyclotomic(e)
-    assert prod.coeffs == IntPoly.x_power_minus_one(12).coeffs
-    assert math.prod(cyclotomic(e)(2) for e in (1, 2, 3, 4, 6, 12)) == 2**12 - 1
+    assert factor_power_minus_one(12).degree == 12
+    for q in (2, 3, 7, 10):
+        assert math.prod(cyclotomic_value(e, q) for e in (1, 2, 3, 4, 6, 12)) == q**12 - 1
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
 
 
 @pytest.mark.parametrize("d", list(range(1, 201)))
 def test_product_over_divisors_is_x_d_minus_one(d):
-    prod = IntPoly((1,))
-    for e in range(1, d + 1):
-        if d % e == 0:
-            prod = prod * cyclotomic(e)
-    assert prod.coeffs == IntPoly.x_power_minus_one(d).coeffs
-    assert cyclotomic(d).degree == euler_phi(d)
+    # oracle: phi_d(q) = prod over e | d of (q^e - 1)^mu(d / e), Moebius inversion
+    for q in (2, 3, 5, 12):
+        oracle = math.prod(
+            (Fraction(q**e - 1) ** _mobius(d // e) for e in range(1, d + 1) if d % e == 0),
+            start=Fraction(1),
+        )
+        assert cyclotomic_value(d, q) == oracle
+    assert _eval(factor_power_minus_one(d), 2) == 2**d - 1
 
 
 def test_factor_power_minus_one():
@@ -58,16 +74,16 @@ def test_factor_power_minus_one():
     assert factor_power_minus_one(4).as_dict() == {1: 1, 2: 1, 4: 1}
 
 
-@given(st.integers(min_value=1, max_value=120), st.integers(min_value=-9, max_value=9))
+@given(st.integers(min_value=1, max_value=120), st.integers(min_value=2, max_value=20))
 @settings(max_examples=60, deadline=None)
 def test_factor_power_minus_one_evaluates(d, q):
-    assert eval_cyclo_product(factor_power_minus_one(d), q) == q**d - 1
+    assert _eval(factor_power_minus_one(d), q) == q**d - 1
 
 
 def test_eval_cyclo_product():
-    assert eval_cyclo_product(CycloProduct.from_mapping({2: 1}), 8) == 9
-    assert eval_cyclo_product(CycloProduct.one(), 5) == 1
-    assert eval_cyclo_product(CycloProduct.from_mapping({1: 1, 2: 1, 3: 1, 6: 1}), 2) == 63
+    assert _eval(CycloProduct.from_mapping({2: 1}), 8) == 9
+    assert _eval(CycloProduct.one(), 5) == 1
+    assert _eval(CycloProduct.from_mapping({1: 1, 2: 1, 3: 1, 6: 1}), 2) == 63
 
 
 def test_cyclo_product_degree_and_division():
@@ -87,7 +103,6 @@ def test_cyclo_product_decodes_at_the_edges():
     assert (p.degree, p.exponent(1), p.exponent(7), p.exponent(12)) == (9, 3, 0, 1)
     assert str(p) == "phi1^3*phi2^2*phi12"
     assert str(CycloProduct.one()) == "1" and CycloProduct.one().exps == ()
-    assert p.to_poly().degree == 9
     q = CycloProduct.from_mapping({2: 1, 12: 2})
     assert (p * q).as_dict() == {1: 3, 2: 3, 12: 3}
     assert (p * q).exact_div(q) == p
@@ -220,18 +235,20 @@ def test_factorize_size_limit():
 def test_concurrent_memoization():
     import threading
 
+    from weylorders.weylchar import _products_by_key
+
     results = []
 
     def worker():
-        results.append(cyclotomic(105).coeffs)
+        results.append((cyclotomic_value(105, 2), tuple(_products_by_key(8).items())))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert len(set(results)) == 1
-    assert cyclotomic(105).degree == euler_phi(105)
+    assert len(results) == 8 and len(set(results)) == 1
+    assert len(results[0][1]) == 224
 
 
 def test_is_prime_small():

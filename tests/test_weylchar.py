@@ -63,6 +63,28 @@ def test_g2_enumeration():
     assert cp(d4=1) not in polys
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_products_by_key_holds_every_product_once(n):
+    # independent count: the coefficient of x^n in prod over d of 1 / (1 - x^phi(d)),
+    # with phi counted by gcd; phi(d) <= 8 already forces d <= 30
+    coeffs = [1] + [0] * n
+    for d in range(1, 200):
+        phi = sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+        for m in range(phi, n + 1):
+            coeffs[m] += coeffs[m - phi]
+    products = weylchar._products_by_key(n)
+    assert len(products) == coeffs[n]
+    assert all(p.degree == n for p in products.values())
+
+
+def test_class_key_outside_every_product_is_refused(monkeypatch):
+    # key + 1 moves the determinant digit to 0 or 2, which no product has
+    keys = weylchar._class_keys
+    monkeypatch.setattr(weylchar, "_class_keys", lambda mats, dets: keys(mats, dets) + 1)
+    with pytest.raises(ArithmeticError, match="not a cyclotomic product"):
+        charpolys_exceptional(SimpleType("G", 2))
+
+
 def test_f4_enumeration():
     assert charpolys_exceptional(SimpleType("F", 4)).group_order == 1152
 
