@@ -1,15 +1,17 @@
 """Recovering a split semisimple type from its Weyl characteristic polynomials.
 
-The algorithm peels off the factors of maximal Coxeter number: the degrees
-are read off the maximal cyclotomic exponents, the top block's Coxeter
-polynomial is isolated as the unique entry with maximal fixed space among
-those realizing the top eigenvalue multiplicity, its eigenvalue exponents
-give the block degrees, and the residual family is the exact quotient.
+The degrees are read once, off the maximal cyclotomic exponents.  Each peel
+isolates the Coxeter polynomial of the block of maximal Coxeter number h as
+the unique entry with maximal fixed space among those with the full phi_h^b;
+its eigenvalue exponents give the block degrees, which the block takes off
+the multiset, and the residual set is the exact quotient: the set of the rest
+of the group (Springer 1974), whose degrees are the ones left.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -21,16 +23,14 @@ from .rootsystem import (
     SemisimpleType,
     SimpleType,
     all_semisimple_types,
-    coxeter_number,
+    coxeter_catalogue,
     degrees,
     render,
-    types_with_degrees,
 )
 from .weylchar import invariant_profile, poly_set, simple_table
 
 __all__ = [
     "CharPolyFamily",
-    "CoxeterBlock",
     "degrees_from_family",
     "peel_max_coxeter",
     "reconstruct",
@@ -55,15 +55,6 @@ class CharPolyFamily:
                 raise NotAWeylFamily(
                     f"entry {p} has degree {p.degree}, family rank is {self.rank}"
                 )
-
-
-@dataclass(frozen=True)
-class CoxeterBlock:
-    """The product of all factors sharing the maximal Coxeter number."""
-
-    h: int
-    factors: Tuple[SimpleType, ...]
-    f: CycloProduct  # characteristic polynomial of the block's Coxeter element
 
 
 def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
@@ -102,21 +93,24 @@ def _predicted_family(
     return functools.reduce(sumset, [*(simple_table(f).entries for f in factors), residual])
 
 
-def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]:
-    """Split off the factors of maximal Coxeter number h.
+def peel_max_coxeter(
+    polys: FrozenSet[CycloProduct], degs: Tuple[int, ...]
+) -> Tuple[Tuple[SimpleType, ...], FrozenSet[CycloProduct], Tuple[int, ...]]:
+    """Split off the factors of maximal Coxeter number h = degs[-1]; returns
+    them, the residual set and the degrees left.
 
     When the block degrees admit more than one factor multiset (this
     happens: two distinct uniform-h products can share their degree
-    multiset), the candidates are screened against the full family, which
+    multiset), the candidates are screened against the full set, which
     determines the block uniquely.
     """
-    if fam.rank < 1:
+    if not degs:
         raise NotAWeylFamily("cannot peel a rank-0 family")
-    degs = degrees_from_family(fam)
     h = degs[-1]
-    # b is the largest phi_h exponent in the family, so f_h is never empty
-    b = degs.count(h)
-    f_h = [p for p in fam.polys if p.exponent(h) == b]
+    b = degs.count(h)  # each simple factor of Coxeter number h has one degree h
+    f_h = [p for p in polys if p.exponent(h) == b]
+    if not f_h:
+        raise NotAWeylFamily(f"no entry has phi_{h}^{b}")
 
     residual_dim = max(p.exponent(1) for p in f_h)
     starred = [p for p in f_h if p.exponent(1) == residual_dim]
@@ -124,8 +118,8 @@ def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]
         raise NotAWeylFamily("top Coxeter entry is not unique")
     f = starred[0].exact_div(CycloProduct.from_mapping({1: residual_dim}))
 
-    # phi_d^t adds t * phi(d) degrees, so the block has rank deg f and the
-    # residual has rank fam.rank - deg f = residual_dim
+    # phi_d^t adds t * phi(d) degrees, so the block has rank deg f and, if
+    # its degrees are among degs, leaves residual_dim of them
     block_degrees: List[int] = []
     for d, t in f.exps:
         if d < 2 or h % d:
@@ -134,43 +128,44 @@ def peel_max_coxeter(fam: CharPolyFamily) -> Tuple[CoxeterBlock, CharPolyFamily]
             if math.gcd(e, h) == h // d:
                 block_degrees.extend([e + 1] * t)
     block_degrees.sort()
+    rest = Counter(degs)
+    rest.subtract(block_degrees)
+    if min(rest.values()) < 0:
+        raise NotAWeylFamily(f"block degrees {block_degrees} are not among {degs}")
 
     try:
         residual = frozenset(p.exact_div(f) for p in f_h)
     except ValueError as exc:
         raise NotAWeylFamily(f"family is not divisible by its Coxeter entry: {exc}")
 
-    covers = [t.factors for t in types_with_degrees(block_degrees)
-              if all(coxeter_number(f) == h for f in t.factors)]
+    covers = [c for c in itertools.combinations_with_replacement(coxeter_catalogue(h), b)
+              if list(degrees(SemisimpleType(c))) == block_degrees]
     if not covers:
         raise NotAWeylFamily(f"no factor multiset matches block degrees {block_degrees}")
     if len(covers) > 1:
-        covers = [c for c in covers if _predicted_family(c, residual) == fam.polys]
+        covers = [c for c in covers if _predicted_family(c, residual) == polys]
         if not covers:
             raise NotAWeylFamily("no candidate block is consistent with the family")
         if len(covers) > 1:
-            raise AmbiguousBlock(
-                f"blocks {covers} all reproduce the family"
-            )
-
-    block = CoxeterBlock(h, covers[0], f)
-    return block, CharPolyFamily(residual, residual_dim)
+            raise AmbiguousBlock(f"blocks {covers} all reproduce the family")
+    return covers[0], residual, tuple(sorted(rest.elements()))
 
 
 def reconstruct(fam: CharPolyFamily) -> SemisimpleType:
-    """Repeated peeling until the family is exhausted; returns the canonical type.
+    """Repeated peeling until the degrees, read once, are used up; returns
+    the canonical type.
 
     The result certifies itself: its own polynomial set must reproduce the
     input exactly, so inconsistent input families fail instead of mapping to
     a wrong type.
     """
-    original = fam
+    polys, degs = fam.polys, degrees_from_family(fam)
     factors: List[SimpleType] = []
-    while fam.rank > 0:
-        block, fam = peel_max_coxeter(fam)
-        factors.extend(block.factors)
+    while degs:
+        block, polys, degs = peel_max_coxeter(polys, degs)
+        factors.extend(block)
     result = SemisimpleType.of(*factors)
-    if poly_set(result) != original.polys:
+    if poly_set(result) != fam.polys:
         raise NotAWeylFamily(
             f"family is not the polynomial set of {render(result)} "
             "or of any other catalogued type"

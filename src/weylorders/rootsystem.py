@@ -103,7 +103,7 @@ class SemisimpleType:
 
     @staticmethod
     def of(*factors: SimpleType) -> "SemisimpleType":
-        return SemisimpleType(tuple(sorted(f.canonical() for f in factors)))
+        return SemisimpleType(factors)
 
     def __post_init__(self):
         canon = tuple(sorted(f.canonical() for f in self.factors))
@@ -274,7 +274,7 @@ def simple_types(rank_bound: int, letters: Iterable[str] = "ABDGFE") -> List[Sim
     )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def coxeter_catalogue(h: int) -> Tuple[SimpleType, ...]:
     """The canonical simple types with Coxeter number h, sorted (all have
     rank <= max(h, 8))."""

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from weylorders import reconstruct as reconstruct_module
@@ -11,7 +13,13 @@ from weylorders.reconstruct import (
     reconstruct,
     verify_determination,
 )
-from weylorders.rootsystem import SimpleType, all_semisimple_types, parse_type, render
+from weylorders.rootsystem import (
+    SimpleType,
+    all_semisimple_types,
+    degrees,
+    parse_type,
+    render,
+)
 from weylorders.weylchar import CharPolyTable, charpolys, poly_set
 
 
@@ -67,35 +75,82 @@ def test_reconstruct_rejects_garbage_downstream():
         reconstruct(CharPolyFamily(polys, 2))
 
 
+def peel_of(expr: str):
+    t = parse_type(expr)
+    return peel_max_coxeter(poly_set(t), degrees(t))
+
+
 def test_peel_g2_a1():
-    block, rest = peel_max_coxeter(fam_of("G2xA1"))
-    assert block.h == 6
-    assert block.factors == (SimpleType("G", 2),)
-    # the top Coxeter element of G2 has the primitive sixth roots as eigenvalues
-    assert block.f == CycloProduct.from_mapping({6: 1})
-    assert rest.rank == 1
-    assert rest.polys == fam_of("A1").polys
+    block, rest, rest_degrees = peel_of("G2xA1")
+    assert block == (SimpleType("G", 2),)
+    assert rest_degrees == (2,)
+    assert rest == fam_of("A1").polys
 
 
 def test_peel_a1():
-    block, rest = peel_max_coxeter(fam_of("A1"))
-    assert block.h == 2
-    assert block.factors == (SimpleType("A", 1),)
-    assert rest.rank == 0
+    block, rest, rest_degrees = peel_of("A1")
+    assert block == (SimpleType("A", 1),)
+    assert rest_degrees == ()
+    assert rest == {CycloProduct.one()}
+    with pytest.raises(NotAWeylFamily):
+        peel_max_coxeter(rest, rest_degrees)
 
 
 def test_peel_b3_b3():
-    block, rest = peel_max_coxeter(fam_of("B3xB3"))
-    assert block.h == 6
-    assert block.factors == (SimpleType("B", 3), SimpleType("B", 3))
-    assert rest.rank == 0
+    block, rest, rest_degrees = peel_of("B3xB3")
+    assert block == (SimpleType("B", 3), SimpleType("B", 3))
+    assert rest_degrees == ()
 
 
 def test_peel_disambiguates_block_with_same_degrees():
     # B3xB3 and D4xG2 share degrees and even the Coxeter polynomial; only
     # the full family separates them.
-    block, _ = peel_max_coxeter(fam_of("D4xG2"))
-    assert block.factors == (SimpleType("D", 4), SimpleType("G", 2))
+    block, _, _ = peel_of("D4xG2")
+    assert block == (SimpleType("D", 4), SimpleType("G", 2))
+
+
+def test_reconstruct_reads_degrees_once(monkeypatch):
+    calls = []
+    genuine = reconstruct_module.degrees_from_family
+
+    def counted(fam):
+        calls.append(fam)
+        return genuine(fam)
+
+    monkeypatch.setattr(reconstruct_module, "degrees_from_family", counted)
+    assert reconstruct(fam_of("A2xB3xG2")) == parse_type("A2xB3xG2")
+    assert len(calls) == 1
+
+
+def test_perturbed_families_reconstruct_or_fail():
+    # seeded perturbations of the sets of rank <= 6: drop an entry, add one
+    # from another type of the same rank, take the union with that type's
+    # set, or keep half the set plus the identity
+    rng = random.Random(19)
+    types = list(all_semisimple_types(6))
+    messages = []
+    for _ in range(400):
+        t = rng.choice(types)
+        polys = sorted(poly_set(t))
+        u = rng.choice([u for u in types if u.rank == t.rank and u != t] or [t])
+        kind = rng.randrange(4)
+        if kind == 0:
+            del polys[rng.randrange(len(polys))]
+        elif kind == 1:
+            polys.append(rng.choice(sorted(poly_set(u))))
+        elif kind == 2:
+            polys.extend(poly_set(u))
+        else:
+            polys = rng.sample(polys, len(polys) // 2) + [CycloProduct.from_mapping({1: t.rank})]
+        try:
+            got = reconstruct(CharPolyFamily(frozenset(polys), t.rank))
+        except NotAWeylFamily as exc:
+            messages.append(str(exc))
+        else:
+            assert poly_set(got) == frozenset(polys)
+    # both guards on the degrees left to a peel are reached
+    assert any(m.startswith("no entry has") for m in messages)
+    assert any("are not among" in m for m in messages)
 
 
 def test_reconstruct_examples():
