@@ -15,7 +15,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .cyclotomic import CycloProduct, max_exponents, sumset
 from .errors import AmbiguousBlock, NotAWeylFamily, WeylOrdersError
@@ -27,7 +27,7 @@ from .rootsystem import (
     degrees,
     render,
 )
-from .weylchar import invariant_profile, poly_set, simple_table
+from .weylchar import poly_set, profile_parts, simple_table
 
 __all__ = [
     "CharPolyFamily",
@@ -69,11 +69,10 @@ def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
     top = max(a)
     mults: Counter = Counter()
     for v in range(top, 1, -1):
-        m = a.get(v, 0) - sum(c for u, c in mults.items() if u % v == 0)
+        m = a.get(v, 0) - sum(mults[u] for u in range(2 * v, top + 1, v))
         if m < 0:
             raise NotAWeylFamily(f"negative multiplicity for degree {v}")
-        if m:
-            mults[v] = m
+        mults[v] = m
     out = tuple(sorted(mults.elements()))
     if len(out) != fam.rank:
         raise NotAWeylFamily(
@@ -93,6 +92,28 @@ def _predicted_family(
     return functools.reduce(sumset, [*(simple_table(f).entries for f in factors), residual])
 
 
+@functools.cache
+def _block_facts(f: CycloProduct, h: int) -> Tuple[Tuple[int, ...], Tuple[Tuple, ...]]:
+    """The degrees of the block with Coxeter polynomial f and Coxeter number
+    h, and the factor multisets that have them; cached, as a sweep meets few
+    blocks (an exception is not cached: bad input raises on every call)."""
+    # phi_d^t adds t * phi(d) degrees, so the block has rank deg f
+    found: List[int] = []
+    for d, t in f.exps:
+        if d < 2 or h % d:
+            raise NotAWeylFamily(f"Coxeter polynomial has unexpected factor phi_{d}")
+        for e in range(1, h):
+            if math.gcd(e, h) == h // d:
+                found.extend([e + 1] * t)
+    block_degrees = tuple(sorted(found))
+    # each simple factor of Coxeter number h has one degree h
+    multisets = itertools.combinations_with_replacement(coxeter_catalogue(h), f.exponent(h))
+    covers = tuple(c for c in multisets if degrees(SemisimpleType(c)) == block_degrees)
+    if not covers:
+        raise NotAWeylFamily(f"no factor multiset matches block degrees {block_degrees}")
+    return block_degrees, covers
+
+
 def peel_max_coxeter(
     polys: FrozenSet[CycloProduct], degs: Tuple[int, ...]
 ) -> Tuple[Tuple[SimpleType, ...], FrozenSet[CycloProduct], Tuple[int, ...]]:
@@ -107,7 +128,7 @@ def peel_max_coxeter(
     if not degs:
         raise NotAWeylFamily("cannot peel a rank-0 family")
     h = degs[-1]
-    b = degs.count(h)  # each simple factor of Coxeter number h has one degree h
+    b = degs.count(h)
     f_h = [p for p in polys if p.exponent(h) == b]
     if not f_h:
         raise NotAWeylFamily(f"no entry has phi_{h}^{b}")
@@ -118,16 +139,7 @@ def peel_max_coxeter(
         raise NotAWeylFamily("top Coxeter entry is not unique")
     f = starred[0].exact_div(CycloProduct.from_mapping({1: residual_dim}))
 
-    # phi_d^t adds t * phi(d) degrees, so the block has rank deg f and, if
-    # its degrees are among degs, leaves residual_dim of them
-    block_degrees: List[int] = []
-    for d, t in f.exps:
-        if d < 2 or h % d:
-            raise NotAWeylFamily(f"Coxeter polynomial has unexpected factor phi_{d}")
-        for e in range(1, h):
-            if math.gcd(e, h) == h // d:
-                block_degrees.extend([e + 1] * t)
-    block_degrees.sort()
+    block_degrees, covers = _block_facts(f, h)
     rest = Counter(degs)
     rest.subtract(block_degrees)
     if min(rest.values()) < 0:
@@ -138,10 +150,6 @@ def peel_max_coxeter(
     except ValueError as exc:
         raise NotAWeylFamily(f"family is not divisible by its Coxeter entry: {exc}")
 
-    covers = [c for c in itertools.combinations_with_replacement(coxeter_catalogue(h), b)
-              if list(degrees(SemisimpleType(c))) == block_degrees]
-    if not covers:
-        raise NotAWeylFamily(f"no factor multiset matches block degrees {block_degrees}")
     if len(covers) > 1:
         covers = [c for c in covers if _predicted_family(c, residual) == polys]
         if not covers:
@@ -206,13 +214,14 @@ def verify_determination(
     type t that comes back as u != t shares its set with u: (u, t) is a
     collision, and when k swept types share one set at least k - 1 of them
     report it.  A round trip that raises is reported and the sweep goes on.
-    Profiles are filed under the degrees and a hash of the profile, so
-    memory grows with the number of types; types filed under the same key
-    are compared exactly, their profiles recomputed.
+    Profiles are compared by profile_parts, once a second type of the same
+    degrees comes, and filed under the degrees and a hash, so memory grows
+    with the number of types; types filed under one hash are compared exactly.
     """
     alphabet = "".join(sorted(set(alphabet)))
     report = DeterminationReport(rank_bound, alphabet)
-    seen_profiles: Dict[Tuple, List[SemisimpleType]] = {}
+    first: Dict[Tuple[int, ...], Optional[SemisimpleType]] = {}
+    filed: Dict[Tuple, List[SemisimpleType]] = {}
     for t in all_semisimple_types(rank_bound, alphabet):
         report.types_checked += 1
         try:
@@ -224,11 +233,16 @@ def verify_determination(
                 report.chset_collisions.append((render(got), render(t)))
                 report.roundtrip_failures.append(f"{render(t)} -> {render(got)}")
 
-        pkey = invariant_profile(t).key()
-        bucket = seen_profiles.setdefault((degrees(t), hash(pkey)), [])
-        other = next((u for u in bucket if invariant_profile(u).key() == pkey), None)
-        if other is None:
-            bucket.append(t)
-        else:
-            report.profile_collisions.append((render(other), render(t)))
+        degs = degrees(t)
+        lone = first.setdefault(degs, t)  # a type alone in its degrees needs no key
+        if lone is not t:
+            first[degs] = None
+            for u in (t,) if lone is None else (lone, t):
+                key = profile_parts(u)
+                bucket = filed.setdefault((degs, hash(key)), [])
+                other = next((v for v in bucket if profile_parts(v) == key), None)
+                if other is None:
+                    bucket.append(u)
+                else:
+                    report.profile_collisions.append((render(other), render(u)))
     return report

@@ -139,7 +139,9 @@ def degrees(t) -> Tuple[int, ...]:
 
 def coxeter_number(t: SimpleType) -> int:
     """Largest fundamental degree of a simple type."""
-    return _simple_degrees(t)[-1]
+    n = t.rank
+    classical = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2}
+    return classical[t.letter] if t.letter in classical else _EXCEPTIONAL_ROWS[t][0][-1]
 
 
 def positive_root_count(t) -> int:

@@ -13,7 +13,9 @@ correctness certificate.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -489,35 +491,36 @@ _Parts = Tuple[Dict[int, int], Dict[int, int], Dict[Tuple[int, int], int]]
 def _factor_profile(f: SimpleType) -> _Parts:
     # the indices of the table are ch_star(f); reading them off the table
     # builds it first, which refuses a rank beyond what a CycloProduct holds
-    positive = sorted(simple_table(f).indices())
+    table = simple_table(f)
+    positive = sorted(table.indices())
+    cols = {i: [p.exponent(i) for p in table.entries] for i in positive}
     mus = {i: mu(f, i) for i in positive}
-    primes = {i: _mu_prime_simple(f, i) for i in positive if i > 2}
-    deficits = {}
-    for a_idx, i in enumerate(positive):
-        for j in positive[a_idx + 1 :]:
-            deficit = mus[i] + mus[j] - _mu_joint_simple(f, i, j)
-            if deficit:
-                deficits[(i, j)] = deficit
-    return mus, primes, deficits
+    # every simple type has the degree 2, so phi_2 is among the indices
+    primes = {i: min(c2 for ci, c2 in zip(cols[i], cols[2]) if ci == mus[i])
+              for i in positive if i > 2}
+    joint = {(i, j): mus[i] + mus[j] - max(map(operator.add, cols[i], cols[j]))
+             for i, j in itertools.combinations(positive, 2)}
+    return mus, primes, {pair: deficit for pair, deficit in joint.items() if deficit}
+
+
+def profile_parts(t: SemisimpleType) -> Tuple[FrozenSet, FrozenSet, FrozenSet]:
+    """mu, mu' and the joint deficits of t, its simple factors' parts summed,
+    as sets of items.  Between types of equal degrees, where every mu_i is
+    fixed, they are equal exactly when the invariant profiles are."""
+    sums: _Parts = ({}, {}, {})
+    for f in t.factors:
+        for total, part in zip(sums, _factor_profile(f)):
+            for k, v in part.items():
+                total[k] = total.get(k, 0) + v
+    return tuple(frozenset(total.items()) for total in sums)
 
 
 def invariant_profile(t: SemisimpleType) -> InvariantProfile:
     bound = max(30, 2 * t.rank)
-    parts = [_factor_profile(f) for f in t.factors]
-    mu_map = dict.fromkeys(range(1, bound + 1), 0)
-    prime_map = dict.fromkeys(range(3, bound + 1), 0)
-    for mus, primes, _ in parts:
-        for i, v in mus.items():
-            mu_map[i] += v
-        for i, v in primes.items():
-            prime_map[i] += v
+    mus, primes, deficits = map(dict, profile_parts(t))
+    mu_map = {i: mus.get(i, 0) for i in range(1, bound + 1)}
+    prime_map = {i: primes.get(i, 0) for i in range(3, bound + 1)}
     positive = [i for i in range(1, bound + 1) if mu_map[i] > 0]
-    joint_map = {
-        (i, j): mu_map[i] + mu_map[j]
-        for a_idx, i in enumerate(positive)
-        for j in positive[a_idx + 1 :]
-    }
-    for _, _, deficits in parts:
-        for pair, deficit in deficits.items():
-            joint_map[pair] -= deficit
+    joint_map = {(i, j): mu_map[i] + mu_map[j] - deficits.get((i, j), 0)
+                 for i, j in itertools.combinations(positive, 2)}
     return InvariantProfile(t, bound, mu_map, prime_map, joint_map)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,13 @@ from weylorders.rootsystem import (
     parse_type,
     render,
 )
-from weylorders.weylchar import CharPolyTable, charpolys, poly_set
+from weylorders.weylchar import (
+    CharPolyTable,
+    charpolys,
+    invariant_profile,
+    poly_set,
+    profile_parts,
+)
 
 
 def fam_of(expr: str) -> CharPolyFamily:
@@ -259,18 +266,71 @@ def test_collision_check_reports_equal_sets(monkeypatch):
 
 
 def test_profile_collision_check_reports_equal_profiles(monkeypatch):
-    # A2xB2 is given A1xA3's profile; the two share their degrees 2, 2, 3, 4
+    # A2xB2 is given A1xA3's profile parts; the two share their degrees 2, 2, 3, 4
     a1a3, a2b2 = parse_type("A1xA3"), parse_type("A2xB2")
-    genuine = reconstruct_module.invariant_profile
+    genuine = reconstruct_module.profile_parts
 
     def forged(t):
         return genuine(a1a3 if t == a2b2 else t)
 
-    monkeypatch.setattr(reconstruct_module, "invariant_profile", forged)
+    monkeypatch.setattr(reconstruct_module, "profile_parts", forged)
     report = verify_determination(4)
     assert report.profile_collisions == [("A1xA3", "A2xB2")]
     assert report.chset_collisions == [] and report.roundtrip_failures == []
     assert not report.ok
+
+
+def test_profile_parts_decide_profile_equality_within_degrees(e8_table):
+    by_degrees = {}
+    for t in all_semisimple_types(8, "ABDGFE"):
+        by_degrees.setdefault(degrees(t), []).append(t)
+    pairs = 0
+    for group in by_degrees.values():
+        for a_idx, t in enumerate(group):
+            for u in group[a_idx + 1 :]:
+                pairs += 1
+                same_parts = profile_parts(t) == profile_parts(u)
+                same_profile = invariant_profile(t).key() == invariant_profile(u).key()
+                assert same_parts == same_profile, (t, u)
+    assert pairs == 116
+
+
+def test_sweep_pays_once_per_new_fact(monkeypatch):
+    # one covers search per distinct block, and the profile parts summed
+    # once for each type that shares its degrees with another
+    blocks, keyed = [], []
+    genuine = reconstruct_module._block_facts
+
+    def block_facts(f, h):
+        blocks.append((f, h))
+        return genuine(f, h)
+
+    def parts(t):
+        keyed.append(t)
+        return profile_parts(t)
+
+    genuine.cache_clear()
+    monkeypatch.setattr(reconstruct_module, "_block_facts", block_facts)
+    monkeypatch.setattr(reconstruct_module, "profile_parts", parts)
+    assert verify_determination(8, alphabet="ABDGF").ok
+    assert genuine.cache_info().misses == len(set(blocks)) < len(blocks)
+    types = list(all_semisimple_types(8, "ABDGF"))
+    shared = Counter(degrees(t) for t in types)
+    assert Counter(keyed) == Counter(t for t in types if shared[degrees(t)] > 1)
+
+
+def test_malformed_coxeter_entry_raises_on_every_call():
+    # G2xB2 without the entries phi_6 phi_1^2, phi_6 phi_1 phi_2 and
+    # phi_6 phi_2^2: the degrees still read 2, 2, 4, 6, but the top
+    # Coxeter entry is phi_6 phi_4, and phi_4 does not divide x^6 - 1
+    def cp(**kw):
+        return CycloProduct.from_mapping({int(k[1:]): v for k, v in kw.items()})
+
+    dropped = {cp(p6=1, p1=2), cp(p6=1, p1=1, p2=1), cp(p6=1, p2=2)}
+    fam = CharPolyFamily(poly_set(parse_type("G2xB2")) - dropped, 4)
+    for _ in range(2):
+        with pytest.raises(NotAWeylFamily, match="unexpected factor phi_4"):
+            reconstruct(fam)
 
 
 def test_round_trip_that_raises_is_reported(monkeypatch):

@@ -148,6 +148,13 @@ def test_coxeter_number():
     assert coxeter_number(SimpleType("E", 8)) == 30
 
 
+def test_coxeter_number_is_the_largest_degree():
+    types = simple_types(40) + [SimpleType("C", n) for n in range(3, 41)]
+    assert len(types) == 40 + 39 + 37 + 5 + 38
+    for t in types:
+        assert coxeter_number(t) == degrees(t)[-1], t
+
+
 def test_canonicalization_merges_bc():
     assert SemisimpleType.of(SimpleType("C", 4)) == SemisimpleType.of(SimpleType("B", 4))
     assert SimpleType("C", 5).canonical() == SimpleType("B", 5)

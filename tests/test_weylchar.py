@@ -377,6 +377,21 @@ def test_e8_profile_complete(e8_table):
     assert (28, 30) not in prof.mu_joint  # mu_28 = 0: forced, not stored
 
 
+def test_factor_profile_matches_the_table_scans(e7_table):
+    # the column reads against one scan of the table per index and pair
+    from weylorders.rootsystem import EXCEPTIONAL, simple_types
+
+    types = simple_types(12, "ABD") + list(EXCEPTIONAL[:4])
+    for f in types:
+        positive = sorted(ch_star(f))
+        mus, primes, deficits = weylchar._factor_profile(f)
+        assert mus == {i: mu(f, i) for i in positive}, f
+        assert primes == {i: weylchar._mu_prime_simple(f, i) for i in positive if i > 2}, f
+        want = {(i, j): mu(f, i) + mu(f, j) - weylchar._mu_joint_simple(f, i, j)
+                for i in positive for j in positive if i < j}
+        assert deficits == {pair: v for pair, v in want.items() if v}, f
+
+
 def test_seed_table_validates():
     good = charpolys_classical(SimpleType("B", 2))
     seed_table(good)  # idempotent
