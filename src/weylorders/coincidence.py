@@ -63,9 +63,6 @@ class CoincidencePair:
     left: SemisimpleType
     right: SemisimpleType
 
-    def is_identity(self) -> bool:
-        return self.left.is_empty() and self.right.is_empty()
-
     def swapped(self) -> "CoincidencePair":
         return CoincidencePair(self.right, self.left)
 

@@ -48,7 +48,6 @@ __all__ = [
     "albert_identity",
     "albert_zero",
     "albert_add",
-    "albert_scale",
     "albert_mul",
     "albert_q",
     "albert_bilinear",
@@ -398,11 +397,6 @@ def albert_add(x: AlbertElement, y: AlbertElement) -> AlbertElement:
     rows = tuple(
         tuple(oct_add(x.m[i][j], y.m[i][j]) for j in range(3)) for i in range(3)
     )
-    return AlbertElement(rows, x.gamma)
-
-
-def albert_scale(s, x: AlbertElement) -> AlbertElement:
-    rows = tuple(tuple(oct_scale(s, x.m[i][j]) for j in range(3)) for i in range(3))
     return AlbertElement(rows, x.gamma)
 
 

@@ -11,7 +11,6 @@ of the group (Springer 1974), whose degrees are the ones left.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -23,11 +22,11 @@ from .rootsystem import (
     SemisimpleType,
     SimpleType,
     all_semisimple_types,
-    coxeter_catalogue,
     degrees,
     render,
+    types_with_degrees,
 )
-from .weylchar import poly_set, profile_parts, simple_table
+from .weylchar import poly_set, poly_sets, profile_parts, simple_table
 
 __all__ = [
     "CharPolyFamily",
@@ -84,11 +83,7 @@ def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
 def _predicted_family(
     factors: Tuple[SimpleType, ...], residual: FrozenSet[CycloProduct]
 ) -> FrozenSet[CycloProduct]:
-    """The sumset of the block's simple sets, then of that with the residual.
-
-    The block is summed from the simple tables directly, leaving the prefix
-    path of poly_set to the type being swept.
-    """
+    """The sumset of the block's simple sets, then of that with the residual."""
     return functools.reduce(sumset, [*(simple_table(f).entries for f in factors), residual])
 
 
@@ -106,9 +101,10 @@ def _block_facts(f: CycloProduct, h: int) -> Tuple[Tuple[int, ...], Tuple[Tuple,
             if math.gcd(e, h) == h // d:
                 found.extend([e + 1] * t)
     block_degrees = tuple(sorted(found))
-    # each simple factor of Coxeter number h has one degree h
-    multisets = itertools.combinations_with_replacement(coxeter_catalogue(h), f.exponent(h))
-    covers = tuple(c for c in multisets if degrees(SemisimpleType(c)) == block_degrees)
+    # only phi_h gives the exponents 1 and h - 1, so the block has as many
+    # degrees 2 as degrees h: a type with these degrees has one factor per
+    # degree h, each of Coxeter number h
+    covers = tuple(u.factors for u in types_with_degrees(block_degrees))
     if not covers:
         raise NotAWeylFamily(f"no factor multiset matches block degrees {block_degrees}")
     return block_degrees, covers
@@ -159,20 +155,25 @@ def peel_max_coxeter(
     return covers[0], residual, tuple(sorted(rest.elements()))
 
 
-def reconstruct(fam: CharPolyFamily) -> SemisimpleType:
+def _peel_all(fam: CharPolyFamily) -> SemisimpleType:
     """Repeated peeling until the degrees, read once, are used up; returns
-    the canonical type.
-
-    The result certifies itself: its own polynomial set must reproduce the
-    input exactly, so inconsistent input families fail instead of mapping to
-    a wrong type.
-    """
+    the canonical type, not yet certified."""
     polys, degs = fam.polys, degrees_from_family(fam)
     factors: List[SimpleType] = []
     while degs:
         block, polys, degs = peel_max_coxeter(polys, degs)
         factors.extend(block)
-    result = SemisimpleType.of(*factors)
+    return SemisimpleType.of(*factors)
+
+
+def reconstruct(fam: CharPolyFamily) -> SemisimpleType:
+    """The canonical type whose polynomial set is fam, found by peeling.
+
+    The result certifies itself: its own polynomial set must reproduce the
+    input exactly, so inconsistent input families fail instead of mapping to
+    a wrong type.
+    """
+    result = _peel_all(fam)
     if poly_set(result) != fam.polys:
         raise NotAWeylFamily(
             f"family is not the polynomial set of {render(result)} "
@@ -206,14 +207,15 @@ def verify_determination(
     """Exhaustively verify that distinct types have distinct polynomial sets,
     that reconstruction round-trips, and that invariant profiles separate types.
 
-    Each type's set comes from poly_set: the sweep forms one sumset per
-    product type and builds no counted table beyond the simple ones.
+    The sets come from poly_sets, which forms one sumset per product type
+    and builds no counted table beyond the simple ones.
 
-    Set collisions come from the round trips.  reconstruct is a function of
-    the set and returns a type only if that type's set is the input, so a
-    type t that comes back as u != t shares its set with u: (u, t) is a
-    collision, and when k swept types share one set at least k - 1 of them
-    report it.  A round trip that raises is reported and the sweep goes on.
+    Set collisions come from the round trips.  A type t that peels back to
+    itself passes, since its set is the input.  One that peels to u != t is
+    handed to reconstruct, which returns u only if u's set is the input: then
+    t shares its set with u and (u, t) is a collision, and when k swept types
+    share one set at least k - 1 of them report it.  A round trip that
+    raises is reported and the sweep goes on.
     Profiles are compared by profile_parts, once a second type of the same
     degrees comes, and filed under the degrees and a hash, so memory grows
     with the number of types; types filed under one hash are compared exactly.
@@ -222,10 +224,13 @@ def verify_determination(
     report = DeterminationReport(rank_bound, alphabet)
     first: Dict[Tuple[int, ...], Optional[SemisimpleType]] = {}
     filed: Dict[Tuple, List[SemisimpleType]] = {}
-    for t in all_semisimple_types(rank_bound, alphabet):
+    for t, polys in poly_sets(all_semisimple_types(rank_bound, alphabet)):
         report.types_checked += 1
         try:
-            got = reconstruct(CharPolyFamily(poly_set(t), t.rank))
+            fam = CharPolyFamily(polys, t.rank)
+            got = _peel_all(fam)
+            if got != t:
+                got = reconstruct(fam)  # certifies got, or raises
         except WeylOrdersError as exc:
             report.roundtrip_failures.append(f"{render(t)}: {exc}")
         else:

@@ -114,9 +114,6 @@ class SemisimpleType:
     def rank(self) -> int:
         return sum(f.rank for f in self.factors)
 
-    def is_empty(self) -> bool:
-        return not self.factors
-
     def counter(self) -> Counter:
         return Counter(self.factors)
 

@@ -19,7 +19,7 @@ import operator
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -337,12 +337,6 @@ def charpolys_exceptional(t: SimpleType) -> CharPolyTable:
 _table_memo: Dict[SimpleType, CharPolyTable] = {}
 _memo_lock = threading.Lock()
 
-# The prefix path: for the last type asked of poly_set, its factor at index k
-# with the polynomial set over its first k + 1 factors.  The tuple is
-# replaced in one assignment, so a concurrent reader sees an old path or a
-# new one, never a half-built one.
-_path: Tuple[Tuple[SimpleType, FrozenSet[CycloProduct]], ...] = ()
-
 
 def seed_table(table: CharPolyTable) -> None:
     """Install an externally obtained single-factor table (validated again:
@@ -377,31 +371,38 @@ def simple_table(t: SimpleType) -> CharPolyTable:
 def charpolys(t: SemisimpleType) -> CharPolyTable:
     """Table for a semisimple type, with counts: the convolution product of
     its factors' tables.  Nothing is kept between calls, since the charpolys
-    command asks for one type per process; sets come from poly_set."""
+    command asks for one type per process; sets come from poly_sets."""
     return CharPolyTable(t, functools.reduce(
         pairwise_products, (simple_table(f).entries for f in t.factors),
         {CycloProduct.one(): 1}))
 
 
-def poly_set(t: SemisimpleType) -> FrozenSet[CycloProduct]:
-    """The set of characteristic polynomials of a semisimple type, without
-    counts: the sumset of its factors' sets.
+def poly_sets(
+    types: Iterable[SemisimpleType],
+) -> Iterator[Tuple[SemisimpleType, FrozenSet[CycloProduct]]]:
+    """Each type with its set of characteristic polynomials, without counts:
+    the sumset of its factors' sets.
 
-    The longest prefix of t.factors on the prefix path is reused; only the
-    remaining factors are added, so a sweep that adds one factor per type
-    forms one sumset per product type, and a repeated request is a lookup.
+    The sets of the previous type's factor prefixes are kept; the longest
+    prefix shared with it is reused and only the remaining factors are
+    added, so a sweep that adds one factor per type forms one sumset per
+    product type.
     """
-    global _path
-    path = list(_path[: len(t.factors)])
-    k = 0
-    while k < len(path) and path[k][0] == t.factors[k]:
-        k += 1
-    del path[k:]
-    for f in t.factors[k:]:
-        table = simple_table(f)
-        path.append((f, sumset(path[-1][1], table.entries) if path else table.poly_set()))
-    _path = tuple(path)
-    return path[-1][1] if path else frozenset({CycloProduct.one()})
+    path: List[Tuple[SimpleType, FrozenSet[CycloProduct]]] = []
+    for t in types:
+        k = 0
+        while k < min(len(path), len(t.factors)) and path[k][0] == t.factors[k]:
+            k += 1
+        del path[k:]
+        for f in t.factors[k:]:
+            table = simple_table(f)
+            path.append((f, sumset(path[-1][1], table.entries) if path else table.poly_set()))
+        yield t, path[-1][1] if path else frozenset({CycloProduct.one()})
+
+
+def poly_set(t: SemisimpleType) -> FrozenSet[CycloProduct]:
+    """The set of characteristic polynomials of one semisimple type."""
+    return next(poly_sets([t]))[1]
 
 
 # --- invariants ---------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from collections import Counter
 
@@ -5,7 +7,7 @@ import pytest
 
 from weylorders import reconstruct as reconstruct_module
 from weylorders import weylchar
-from weylorders.cyclotomic import CycloProduct
+from weylorders.cyclotomic import CycloProduct, euler_phi
 from weylorders.errors import AmbiguousBlock, NotAWeylFamily
 from weylorders.reconstruct import (
     CharPolyFamily,
@@ -15,8 +17,10 @@ from weylorders.reconstruct import (
     verify_determination,
 )
 from weylorders.rootsystem import (
+    SemisimpleType,
     SimpleType,
     all_semisimple_types,
+    coxeter_catalogue,
     degrees,
     parse_type,
     render,
@@ -215,7 +219,8 @@ def test_verify_determination_report_shape():
 
 def test_sweep_convolves_once_per_product_type(monkeypatch):
     # the set analogue of one convolution per product type is one sumset,
-    # and once the simple tables exist no counted table is built
+    # and once the simple tables exist no counted table is built; a round
+    # trip that returns its own type builds no set again
     tables = {t: charpolys(t) for t in all_semisimple_types(8, "ABDGF")}
     products = [t for t in tables if len(t.factors) > 1]
     assert len(products) == 329
@@ -230,7 +235,6 @@ def test_sweep_convolves_once_per_product_type(monkeypatch):
         raise AssertionError("a counted table was built")
 
     monkeypatch.setattr(weylchar, "sumset", counted)
-    monkeypatch.setattr(weylchar, "_path", ())
     monkeypatch.setattr(weylchar, "pairwise_products", refused)
     monkeypatch.setattr(CharPolyTable, "validate", refused)
     report = verify_determination(8, alphabet="ABDGF")
@@ -240,29 +244,56 @@ def test_sweep_convolves_once_per_product_type(monkeypatch):
 
 
 @pytest.mark.parametrize("expr", ["D4xG2xA1", "B3xB3xA2", "G2xG2xD4"])
-def test_reconstruct_certificate_is_a_lookup(monkeypatch, expr):
-    # each type has a block that two factor multisets cover, so it is screened
+def test_screened_round_trip_builds_its_set_once(monkeypatch, expr):
+    # each type has a block that two factor multisets cover, so it is
+    # screened; the screen sums the simple tables directly, and only the
+    # certificate builds the type's set, one sumset per factor after the first
     t = parse_type(expr)
-    polys = poly_set(t)
+    fam = CharPolyFamily(poly_set(t), t.rank)
+    calls = []
+    genuine = weylchar.sumset
 
-    def no_sumset(left, right):
-        raise AssertionError(f"a set of {render(t)} was summed again")
+    def counted(left, right):
+        calls.append(None)
+        return genuine(left, right)
 
-    monkeypatch.setattr(weylchar, "sumset", no_sumset)
-    assert reconstruct(CharPolyFamily(polys, t.rank)) == t
-    assert poly_set(t) is polys
+    monkeypatch.setattr(weylchar, "sumset", counted)
+    assert reconstruct_module._peel_all(fam) == t
+    assert calls == []
+    assert reconstruct(fam) == t
+    assert len(calls) == len(t.factors) - 1
 
 
 def test_collision_check_reports_equal_sets(monkeypatch):
     # A1xA3 and A2xB2 share their degrees 2, 2, 3, 4 but not their sets
     a1a3, a2b2 = parse_type("A1xA3"), parse_type("A2xB2")
+    genuine = reconstruct_module.poly_sets
 
-    def forged(t):
-        return poly_set(a1a3 if t == a2b2 else t)
+    def forged(types):
+        for t, polys in genuine(types):
+            yield t, poly_set(a1a3) if t == a2b2 else polys
 
-    monkeypatch.setattr(reconstruct_module, "poly_set", forged)
+    monkeypatch.setattr(reconstruct_module, "poly_sets", forged)
     report = verify_determination(4)
     assert report.chset_collisions == [("A1xA3", "A2xB2")]
+    assert report.roundtrip_failures == ["A2xB2 -> A1xA3"]
+
+
+def test_sweep_certifies_a_foreign_round_trip(monkeypatch):
+    # A2xB2 peels to A1xA3, whose set is not A2xB2's: the certificate refuses it
+    a1a3, a2b2 = parse_type("A1xA3"), parse_type("A2xB2")
+    genuine = reconstruct_module._peel_all
+
+    def forged(fam):
+        got = genuine(fam)
+        return a1a3 if got == a2b2 else got
+
+    monkeypatch.setattr(reconstruct_module, "_peel_all", forged)
+    report = verify_determination(4)
+    assert report.roundtrip_failures == [
+        "A2xB2: family is not the polynomial set of A1xA3 or of any other catalogued type"]
+    assert report.chset_collisions == []
+    assert not report.ok
 
 
 def test_profile_collision_check_reports_equal_profiles(monkeypatch):
@@ -335,7 +366,7 @@ def test_malformed_coxeter_entry_raises_on_every_call():
 
 def test_round_trip_that_raises_is_reported(monkeypatch):
     b3g2 = parse_type("B3xG2")
-    genuine = reconstruct_module.reconstruct
+    genuine = reconstruct_module._peel_all
 
     def failing(fam):
         got = genuine(fam)
@@ -343,8 +374,55 @@ def test_round_trip_that_raises_is_reported(monkeypatch):
             raise AmbiguousBlock("forged ambiguity")
         return got
 
-    monkeypatch.setattr(reconstruct_module, "reconstruct", failing)
+    monkeypatch.setattr(reconstruct_module, "_peel_all", failing)
     report = verify_determination(5, alphabet="ABG")
     assert report.roundtrip_failures == ["B3xG2: forged ambiguity"]
     assert not report.ok
     assert report.types_checked == len(list(all_semisimple_types(5, "ABG")))
+
+
+def _coxeter_polynomial(degs, h):
+    # the Coxeter eigenvalues are exp(2 pi i (d - 1) / h) over the degrees d
+    orders = Counter(h // math.gcd(d - 1, h) for d in degs)
+    return CycloProduct.from_mapping({d: m // euler_phi(d) for d, m in orders.items()})
+
+
+def test_block_covers_match_the_combinations_search():
+    # the oracle: every multiset of factors of Coxeter number h with the
+    # block degrees; blocks of at most three factors, h <= 40
+    checked = 0
+    for h in range(2, 41):
+        catalogue = coxeter_catalogue(h)
+        blocks = {degrees(SemisimpleType(c)) for k in range(1, 4)
+                  for c in itertools.combinations_with_replacement(catalogue, k)}
+        for block_degrees in sorted(blocks):
+            covers = tuple(c for c in itertools.combinations_with_replacement(
+                catalogue, block_degrees.count(h)) if degrees(SemisimpleType(c)) == block_degrees)
+            f = _coxeter_polynomial(block_degrees, h)
+            assert reconstruct_module._block_facts(f, h) == (block_degrees, covers)
+            checked += 1
+    assert checked == 487
+
+
+def test_block_covers_of_any_polynomial_of_divisors_of_h():
+    # f = prod phi_d^t over d | h, d >= 2, t <= 2, phi_h present, h <= 12,
+    # most of them no Coxeter polynomial: the covers are the multisets of
+    # f.exponent(h) factors of Coxeter number h with Coxeter polynomial f,
+    # and f is refused exactly when there are none
+    refused = 0
+    for h in range(2, 13):
+        catalogue = coxeter_catalogue(h)
+        ds = [d for d in range(2, h + 1) if h % d == 0]
+        for exps in itertools.product(range(3), repeat=len(ds)):
+            if not exps[-1]:
+                continue
+            f = CycloProduct.from_mapping(dict(zip(ds, exps)))
+            covers = tuple(c for c in itertools.combinations_with_replacement(catalogue, exps[-1])
+                           if _coxeter_polynomial(degrees(SemisimpleType(c)), h) == f)
+            if covers:
+                assert reconstruct_module._block_facts(f, h)[1] == covers
+            else:
+                refused += 1
+                with pytest.raises(NotAWeylFamily, match="no factor multiset matches"):
+                    reconstruct_module._block_facts(f, h)
+    assert refused > 0

@@ -25,6 +25,7 @@ from weylorders.weylchar import (
     mu_joint,
     mu_prime,
     poly_set,
+    poly_sets,
     seed_table,
 )
 
@@ -466,18 +467,30 @@ def test_charpolys_matches_naive_convolution():
 
 
 def test_poly_set_matches_charpolys():
-    for t in _requests(12):
-        assert poly_set(t) == charpolys(t).poly_set()
-        assert len(weylchar._path) == len(t.factors)
+    requests, swept = _requests(12), []
+    for t, polys in poly_sets(requests):
+        swept.append(t)
+        assert polys == charpolys(t).poly_set()
+    assert swept == requests
 
 
-def test_charpolys_repeat_is_a_lookup():
-    # the polynomial set of a repeated request comes off the prefix path
-    t = parse_type("A1xB2xG2")
-    assert poly_set(t) is poly_set(t)
-    prefix = weylchar._path[1][1]
-    assert [f for f, _ in weylchar._path[:2]] == list(parse_type("A1xB2").factors)
-    assert poly_set(parse_type("A1xB2")) is prefix
+def test_poly_sets_reuse_prefixes(monkeypatch):
+    # the prefix sets of the previous type are kept: a type forms one sumset
+    # per factor beyond the longest prefix it shares with the one before
+    calls = []
+    genuine = weylchar.sumset
+
+    def counted(left, right):
+        calls.append(None)
+        return genuine(left, right)
+
+    monkeypatch.setattr(weylchar, "sumset", counted)
+    counts = []
+    for t, polys in poly_sets(map(parse_type, ["A1xB2xG2", "A1xB2", "A1xB2xG2"])):
+        counts.append(len(calls))
+        calls.clear()
+        assert polys == charpolys(t).poly_set()
+    assert counts == [2, 0, 1]
 
 
 def test_concurrent_prefix_path():
@@ -532,13 +545,11 @@ def test_double_cosets_memory_bounded_by_k():
 
 def test_seed_table_is_write_once(monkeypatch):
     monkeypatch.setattr(weylchar, "_table_memo", dict(weylchar._table_memo))
-    monkeypatch.setattr(weylchar, "_path", ())
     g2 = parse_type("G2")
     table = weylchar.simple_table(g2.factors[0])
     seed_table(CharPolyTable(g2, dict(table.entries)))  # equal: a no-op
     assert weylchar._table_memo[g2.factors[0]] is table
-    poly_set(parse_type("A1xG2"))
-    memo, path, profile = dict(weylchar._table_memo), weylchar._path, invariant_profile(g2)
+    memo, profile = dict(weylchar._table_memo), invariant_profile(g2)
     assert mu_joint(g2, 2, 6) == profile.mu_joint[(2, 6)] == 2
     # passes validate(), but no element has e_2 + e_6 = 2
     forged = CharPolyTable(g2, {cp(d1=2): 1, cp(d1=1, d2=1): 7, cp(d3=1): 2, cp(d6=1): 2})
@@ -546,7 +557,6 @@ def test_seed_table_is_write_once(monkeypatch):
         seed_table(forged)
     assert weylchar._table_memo == memo
     assert weylchar._table_memo[g2.factors[0]] is table
-    assert weylchar._path is path
     assert mu_joint(g2, 2, 6) == 2
     assert invariant_profile(g2) == profile
 
@@ -583,7 +593,6 @@ def test_table_is_checked_when_built(change, message):
 def test_e8_table_flow_with_seeded_table(monkeypatch, e8_table):
     """A seeded table serves every E8 path without being recomputed."""
     monkeypatch.setattr(weylchar, "_table_memo", {})
-    monkeypatch.setattr(weylchar, "_path", ())
 
     def no_enumeration(t):
         raise AssertionError(f"{t} was enumerated instead of read from the registry")
