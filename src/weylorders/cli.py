@@ -68,6 +68,8 @@ def cache_load(type_label: str, dir_: os.PathLike) -> Optional[CharPolyTable]:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheInvalid(f"{path}: unreadable cache file ({exc})")
+    if not isinstance(payload, dict):
+        raise CacheInvalid(f"{path}: cache payload is not a JSON object")
     if payload.get("version") != CACHE_VERSION:
         raise CacheInvalid(f"{path}: cache format version mismatch")
     if payload.get("type_label") != type_label:

@@ -46,7 +46,6 @@ __all__ = [
     "enumerate_two_factor_pairs",
     "expected_two_factor_pairs",
     "generator",
-    "generators",
     "evaluate_word",
     "decompose",
     "verify_group_axioms",
@@ -146,8 +145,7 @@ def expected_two_factor_pairs(rank_bound: int) -> List[CoincidencePair]:
     """The eight exhaustive families of two-factor pairs, instantiated to the
     given per-side rank bound."""
     ns = range(2, rank_bound + 1)
-    sides = [(f"A{2 * n - 2}xB{n}", f"A{2 * n - 1}xB{n - 1}") for n in ns]  # B1 is A1
-    sides += [(f"A{n - 2}xD{n}", f"A{n - 1}xB{n - 1}") for n in ns if n >= 4]
+    sides = [family(n) for first, family in _FAMILIES.values() for n in ns if n >= first]
     sides += [(f"B{n - 1}xD{2 * n}", f"B{2 * n - 1}xB{n}") for n in ns]
     sides += [("A1xA5", "A4xG2"), ("A1xB3", "B2xG2"), ("A1xD6", "B5xG2"),
               ("A2xB3", "A3xG2"), ("B3xB3", "D4xG2")]
@@ -161,6 +159,12 @@ def expected_two_factor_pairs(rank_bound: int) -> List[CoincidencePair]:
 
 
 # --- the seven generators -----------------------------------------------------
+
+# The two infinite families: the first rank of each and its two sides at rank n.
+_FAMILIES = {
+    "B": (2, lambda n: (f"A{2 * n - 2}xB{n}", f"A{2 * n - 1}xB{n - 1}")),  # B1 is A1
+    "D": (4, lambda n: (f"A{n - 2}xD{n}", f"A{n - 1}xB{n - 1}")),
+}
 
 _EXCEPTIONAL_GENERATORS = {
     "G2": ("A2xB3", "A3xG2"),
@@ -181,25 +185,11 @@ def generator(gid: str) -> CoincidencePair:
         if m is None:
             raise TypeParseError(f"unknown generator id {gid!r}")
         kind, n = m.group(1), int(m.group(2))
-        if kind == "B":
-            if n < 2:
-                raise TypeParseError("B-family generators start at rank 2")
-            left, right = f"A{2 * n - 2}xB{n}", f"A{2 * n - 1}xB{n - 1}"
-        else:
-            if n < 4:
-                raise TypeParseError("D-family generators start at rank 4")
-            left, right = f"A{n - 2}xD{n}", f"A{n - 1}xB{n - 1}"
+        first, family = _FAMILIES[kind]
+        if n < first:
+            raise TypeParseError(f"{kind}-family generators start at rank {first}")
+        left, right = family(n)
     return reduce(parse_type(left), parse_type(right))
-
-
-def generators(family_rank_bound: int = 15) -> Dict[str, CoincidencePair]:
-    """The generator map, with the two infinite families instantiated up to
-    the given rank."""
-    out = {f"B{n}": generator(f"B{n}") for n in range(2, family_rank_bound + 1)}
-    out.update({f"D{n}": generator(f"D{n}") for n in range(4, family_rank_bound + 1)})
-    for gid in _EXCEPTIONAL_GENERATORS:
-        out[gid] = generator(gid)
-    return out
 
 
 def evaluate_word(word: GeneratorWord) -> CoincidencePair:

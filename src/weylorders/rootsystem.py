@@ -80,6 +80,7 @@ _EXCEPTIONAL_ROWS = {
 EXCEPTIONAL = tuple(_EXCEPTIONAL_ROWS)
 
 
+@functools.cache
 def _simple_degrees(t: SimpleType) -> Tuple[int, ...]:
     n = t.rank
     if t.letter == "A":
@@ -135,10 +136,8 @@ def degrees(t) -> Tuple[int, ...]:
 
 
 def coxeter_number(t: SimpleType) -> int:
-    """Largest fundamental degree of a simple type."""
-    n = t.rank
-    classical = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2}
-    return classical[t.letter] if t.letter in classical else _EXCEPTIONAL_ROWS[t][0][-1]
+    """Largest fundamental degree of a simple type (the degrees are sorted)."""
+    return _simple_degrees(t)[-1]
 
 
 def positive_root_count(t) -> int:
@@ -267,7 +266,10 @@ def simple_types(rank_bound: int, letters: Iterable[str] = "ABDGFE") -> List[Sim
 
     The letter E covers E6, E7 and E8; C selects the B series it is stored as.
     """
-    letters = {"B" if c == "C" else c for c in letters} & _RANK_RULES.keys()
+    letters = {"B" if c == "C" else c for c in letters}
+    if not letters <= _RANK_RULES.keys():
+        unknown = "".join(sorted(letters - _RANK_RULES.keys()))
+        raise TypeParseError(f"unknown type letters {unknown!r}; use A-G")
     return sorted(
         SimpleType(c, n) for c in letters for n in range(1, rank_bound + 1) if _RANK_RULES[c](n)
     )

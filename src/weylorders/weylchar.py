@@ -169,25 +169,25 @@ def _orbit_walk(
     """Walk the W_J-orbit (J = nodes) of a weight dominant for W_J.
 
     Weights are Dynkin labels, and s_i subtracts label i times alpha_i, which
-    is row i of the Cartan pairing.  Applying s_i to a weight whose label i is
-    positive moves one level down the orbit, so the walk meets each weight mu
-    at depth l(x_mu), where x_mu is the minimal element of W_J sending the
-    start to mu, and det x_mu = (-1)^depth.  Returns the weights in order of
+    is row i of the Cartan pairing.  Every weight nu but the start has a
+    negative label on J, and for any such node i, s_i.nu is one level nearer
+    the start.  The walk takes nu only from s_i.nu with i the first such
+    node in nodes, its one parent, so it meets each weight mu once, at depth
+    l(x_mu), where x_mu is the minimal element of W_J sending the start to
+    mu, and det x_mu = (-1)^depth.  Returns the weights in order of
     nondecreasing depth, with their representatives x_mu and determinants.
     """
     n = len(a)
     weights = [start]
     reps = [np.eye(n, dtype=np.int32)]
     dets = [1]
-    seen = {start}
     idx = 0
     while idx < len(weights):
         mu = weights[idx]
         for i in nodes:
             if mu[i] > 0:
                 nu = tuple(m - mu[i] * r for m, r in zip(mu, a[i]))
-                if nu not in seen:
-                    seen.add(nu)
+                if next(j for j in nodes if nu[j] < 0) == i:
                     weights.append(nu)
                     reps.append(gens[i] @ reps[idx])
                     dets.append(-dets[idx])
@@ -195,8 +195,9 @@ def _orbit_walk(
     return weights, np.array(reps), np.array(dets, dtype=np.int32)
 
 
-def _fundamental_weight(n: int, k: int) -> Tuple[int, ...]:
-    return tuple(int(i == k) for i in range(n))
+def _fundamental_weight(n: int, nodes: List[int]) -> Tuple[int, ...]:
+    """The weight with label 1 on each of nodes and 0 elsewhere."""
+    return tuple(int(i in nodes) for i in range(n))
 
 
 def _parabolic_elements(
@@ -212,7 +213,7 @@ def _parabolic_elements(
     mats = np.eye(n, dtype=np.int32)[None]
     dets = np.ones(1, dtype=np.int32)
     for m in range(1, len(nodes) + 1):
-        _, reps, signs = _orbit_walk(a, gens, nodes[:m], _fundamental_weight(n, nodes[m - 1]))
+        _, reps, signs = _orbit_walk(a, gens, nodes[:m], _fundamental_weight(n, nodes[m - 1:m]))
         mats = (reps[:, None] @ mats[None]).reshape(-1, n, n)
         dets = (signs[:, None] * dets[None]).reshape(-1)
     return mats, dets
@@ -281,9 +282,11 @@ def _chain_table(t: SimpleType, node: Optional[int]) -> CharPolyTable:
 
     For a class function f, the sum of f over HxH is [HxH : H] times the sum
     of f(xu) over u in H.  The double cosets are the H-orbits on the orbit of
-    omega_node, [HxH : H] is the size of the H-orbit of x.omega_node, and the
-    first weight the walk meets in each H-orbit is dominant for H.  With node
-    None every coset xH of H = W_{S-(n-1)} counts once: the full chain.
+    omega_node, and each holds one weight dominant for H, the one of least
+    depth; so the representatives x are those of the weights with no
+    negative label on S-node, and [HxH : H] is the size of that weight's
+    H-orbit.  With node None every coset xH of H = W_{S-(n-1)} counts once
+    (the grouping set is empty): the full chain.
     """
     t = t.canonical()
     n = t.rank
@@ -291,21 +294,15 @@ def _chain_table(t: SimpleType, node: Optional[int]) -> CharPolyTable:
     gens = np.array(reflection_generators(t), dtype=np.int32)
     top = n - 1 if node is None else node
     sub = [i for i in range(n) if i != top]
-    weights, reps, dets = _orbit_walk(a, gens, range(n), _fundamental_weight(n, top))
-    if node is None:
-        blocks = [(x, d, 1) for x, d in zip(reps, dets)]
-    else:
-        blocks, covered = [], set()
-        for mu, x, d in zip(weights, reps, dets):
-            if mu not in covered:
-                orbit = _orbit_walk(a, gens, sub, mu)[0]
-                covered.update(orbit)
-                blocks.append((x, d, len(orbit)))
+    group = [] if node is None else sub
+    weights, reps, dets = _orbit_walk(a, gens, range(n), _fundamental_weight(n, [top]))
+    blocks = [(x, d, len(_orbit_walk(a, gens, group, mu)[0]))
+              for mu, x, d in zip(weights, reps, dets) if all(mu[i] >= 0 for i in group)]
     # H = R.K over its last chain step (_parabolic_elements): K = W_{sub[:-1]},
     # R the orbit of omega_{sub[-1]}.  x.H is walked as x.r.K, so memory
-    # follows |K|, not |H|.  At rank 1 sub is empty and the walk gives R = {1}.
+    # follows |K|, not |H|.  At rank 1 sub is empty and R = {1}.
     k_mats, k_signs = _parabolic_elements(a, gens, sub[:-1])
-    _, r_mats, r_signs = _orbit_walk(a, gens, sub, _fundamental_weight(n, (sub or [top])[-1]))
+    _, r_mats, r_signs = _orbit_walk(a, gens, sub, _fundamental_weight(n, sub[-1:]))
     counts: Dict[int, int] = {}
     for x, d, weight in blocks:
         for xr, s in zip(x @ r_mats, d * r_signs):

@@ -323,6 +323,19 @@ def test_charpolys_refuses_a_forged_cache_file(capsys, monkeypatch, tmp_path, fi
     assert ": certificate failed: " in captured.err
 
 
+@pytest.mark.parametrize("payload", [[], 5, "x", None], ids=["list", "int", "str", "null"])
+def test_charpolys_refuses_a_cache_file_that_is_not_an_object(capsys, monkeypatch, tmp_path,
+                                                              payload):
+    monkeypatch.setattr(weylchar, "_table_memo", {})
+    path = cache_store(charpolys_exceptional(SimpleType("G", 2)), tmp_path)
+    path.write_text(json.dumps(payload))
+    assert run(["charpolys", "--type", "G2", "--cache", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert path.name in captured.err and "not a JSON object" in captured.err
+
+
 def test_cache_rejects_version_mismatch(tmp_path):
     table = charpolys_exceptional(SimpleType("G", 2))
     path = cache_store(table, tmp_path)

@@ -8,7 +8,7 @@ import pytest
 from weylorders import reconstruct as reconstruct_module
 from weylorders import weylchar
 from weylorders.cyclotomic import CycloProduct, euler_phi
-from weylorders.errors import AmbiguousBlock, NotAWeylFamily
+from weylorders.errors import AmbiguousBlock, NotAWeylFamily, TypeParseError
 from weylorders.reconstruct import (
     CharPolyFamily,
     degrees_from_family,
@@ -206,6 +206,12 @@ def test_verify_determination_rank4():
     report = verify_determination(4, alphabet="ABDG")
     assert report.ok
     assert report.types_checked > 10
+
+
+def test_verify_determination_refuses_unknown_letters():
+    # lower-case letters used to select no type at all, and the empty sweep passed
+    with pytest.raises(TypeParseError, match="abdfg"):
+        verify_determination(6, "abdgf")
 
 
 def test_verify_determination_report_shape():

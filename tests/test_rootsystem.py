@@ -185,6 +185,12 @@ def test_simple_types_catalogue():
     assert parse_type("E8") not in set(all_semisimple_types(8, "ABDGF"))
 
 
+@pytest.mark.parametrize("letters, unknown", [("abdgf", "abdfg"), ("ABH", "H"), ("AB2", "2")])
+def test_simple_types_refuse_unknown_letters(letters, unknown):
+    with pytest.raises(TypeParseError, match=repr(unknown)):
+        simple_types(6, letters)
+
+
 def test_types_with_degrees():
     def names(expr):
         return [render(t) for t in types_with_degrees(degrees(parse_type(expr)))]

@@ -8,6 +8,7 @@ from weylorders import weylchar
 from weylorders.cyclotomic import CycloProduct
 from weylorders.rootsystem import (
     SimpleType,
+    cartan_pairing,
     degrees,
     parse_type,
     table_parabolic,
@@ -530,6 +531,80 @@ def test_double_cosets_match_at_every_node(small_exceptional_tables):
         t = parse_type(name).factors[0]
         for node in range(t.rank):
             assert weylchar._chain_table(t, node).entries == table.entries, (name, node)
+
+
+def _reference_walk(a, nodes, start):
+    """The W_J-orbit of start by breadth-first search with a visited set:
+    each weight with its depth, in the order first met."""
+    depth = {start: 0}
+    queue = [start]
+    for mu in queue:
+        for i in nodes:
+            if mu[i] > 0:
+                nu = tuple(m - mu[i] * r for m, r in zip(mu, a[i]))
+                if nu not in depth:
+                    depth[nu] = depth[mu] + 1
+                    queue.append(nu)
+    return depth
+
+
+class _WalksDone(Exception):
+    pass
+
+
+def _chain_walks(monkeypatch, t, node):
+    """Every walk _chain_table(t, node) makes, as (nodes, start, weights,
+    dets), in call order; the table itself is not summed."""
+    walks = []
+    walk = weylchar._orbit_walk
+
+    def recording(a, gens, nodes, start):
+        weights, reps, dets = walk(a, gens, nodes, start)
+        walks.append((list(nodes), start, weights, dets.tolist()))
+        return weights, reps, dets
+
+    def stop(mats, dets):
+        raise _WalksDone
+
+    monkeypatch.setattr(weylchar, "_orbit_walk", recording)
+    monkeypatch.setattr(weylchar, "_class_keys", stop)  # first called once every walk is done
+    with pytest.raises(_WalksDone):
+        weylchar._chain_table(t, node)
+    return walks
+
+
+_WALKED = [(SimpleType(c, n), node) for c, n in (("G", 2), ("F", 4), ("E", 6), ("E", 7))
+           for node in range(n)] + [(SimpleType("E", 8), 1)]
+
+
+@pytest.mark.parametrize("t, node", _WALKED, ids=lambda v: str(v))
+def test_walks_meet_each_weight_once(monkeypatch, t, node):
+    a = cartan_pairing(t)
+    walks = _chain_walks(monkeypatch, t, node)
+    for nodes, start, weights, dets in walks:
+        depth = _reference_walk(a, nodes, start)
+        assert len(set(weights)) == len(weights) == len(depth), (nodes, start)
+        depths = [depth[mu] for mu in weights]
+        assert depths == sorted(depths), (nodes, start)
+        assert dets == [(-1) ** k for k in depths], (nodes, start)
+
+
+@pytest.mark.parametrize("t, node", _WALKED, ids=lambda v: str(v))
+def test_dominant_weights_are_the_first_met_blocks(monkeypatch, t, node):
+    n = t.rank
+    a = cartan_pairing(t)
+    sub = [i for i in range(n) if i != node]
+    covered, expected = set(), []
+    for mu in _reference_walk(a, range(n), tuple(int(i == node) for i in range(n))):
+        if mu not in covered:
+            orbit = _reference_walk(a, sub, mu)
+            covered.update(orbit)
+            expected.append((mu, len(orbit)))
+    # after the top walk, one walk over S-node per block; the last such walk is R's.
+    # Weights of one depth may come in another order than the reference's.
+    walks = _chain_walks(monkeypatch, t, node)[1:]
+    blocks = [(start, len(weights)) for nodes, start, weights, _ in walks if nodes == sub][:-1]
+    assert sorted(blocks) == sorted(expected)
 
 
 def test_double_cosets_memory_bounded_by_k():
