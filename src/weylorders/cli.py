@@ -60,7 +60,7 @@ def cache_store(table: CharPolyTable, dir_: os.PathLike) -> Path:
 
 
 def cache_load(type_label: str, dir_: os.PathLike) -> Optional[CharPolyTable]:
-    """Load a cached table, checked as it is built; None when the file is absent."""
+    """Load a cached table through weylchar.seed_table; None when the file is absent."""
     path = _cache_path(Path(dir_), type_label)
     if not path.exists():
         return None
@@ -87,6 +87,7 @@ def cache_load(type_label: str, dir_: os.PathLike) -> Optional[CharPolyTable]:
         table = CharPolyTable(t, entries)
         if order != table.group_order:
             raise ValueError(f"group order {order} is not {table.group_order}")
+        weylchar.seed_table(table)
     except ValueError as exc:
         raise CacheInvalid(f"{path}: certificate failed: {exc}")
     return table
@@ -101,10 +102,7 @@ def _load_exceptional_tables(
     if cache_dir is None:
         return
     for f in sorted(set(factors) & set(EXCEPTIONAL)):
-        cached = cache_load(str(f), cache_dir)
-        if cached is not None:
-            weylchar.seed_table(cached)
-        else:
+        if cache_load(str(f), cache_dir) is None:
             cache_store(weylchar.simple_table(f), cache_dir)
 
 

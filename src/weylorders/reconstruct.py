@@ -116,10 +116,10 @@ def peel_max_coxeter(
     """Split off the factors of maximal Coxeter number h = degs[-1]; returns
     them, the residual set and the degrees left.
 
-    When the block degrees admit more than one factor multiset (this
-    happens: two distinct uniform-h products can share their degree
-    multiset), the candidates are screened against the full set, which
-    determines the block uniquely.
+    When the block degrees admit more than one factor multiset, the
+    candidates are screened against the full set, which determines the
+    block uniquely.  Only h = 6 has such blocks (B3xB3 and D4xG2 share their
+    degrees); every block of at most four factors with h <= 60 was checked.
     """
     if not degs:
         raise NotAWeylFamily("cannot peel a rank-0 family")
@@ -155,15 +155,21 @@ def peel_max_coxeter(
     return covers[0], residual, tuple(sorted(rest.elements()))
 
 
-def _peel_all(fam: CharPolyFamily) -> SemisimpleType:
-    """Repeated peeling until the degrees, read once, are used up; returns
-    the canonical type, not yet certified."""
-    polys, degs = fam.polys, degrees_from_family(fam)
+def _peel_all(polys: FrozenSet[CycloProduct], degs: Tuple[int, ...]) -> SemisimpleType:
+    """Peel polys, of degrees degs, until no degree is left; the type, not yet certified."""
     factors: List[SimpleType] = []
     while degs:
         block, polys, degs = peel_max_coxeter(polys, degs)
         factors.extend(block)
     return SemisimpleType.of(*factors)
+
+
+def _certified(u: SemisimpleType, polys: FrozenSet[CycloProduct]) -> SemisimpleType:
+    """u, if its own polynomial set is polys; NotAWeylFamily otherwise."""
+    if poly_set(u) != polys:
+        raise NotAWeylFamily(f"family is not the polynomial set of {render(u)} "
+                             "or of any other catalogued type")
+    return u
 
 
 def reconstruct(fam: CharPolyFamily) -> SemisimpleType:
@@ -173,13 +179,7 @@ def reconstruct(fam: CharPolyFamily) -> SemisimpleType:
     input exactly, so inconsistent input families fail instead of mapping to
     a wrong type.
     """
-    result = _peel_all(fam)
-    if poly_set(result) != fam.polys:
-        raise NotAWeylFamily(
-            f"family is not the polynomial set of {render(result)} "
-            "or of any other catalogued type"
-        )
-    return result
+    return _certified(_peel_all(fam.polys, degrees_from_family(fam)), fam.polys)
 
 
 @dataclass
@@ -207,15 +207,19 @@ def verify_determination(
     """Exhaustively verify that distinct types have distinct polynomial sets,
     that reconstruction round-trips, and that invariant profiles separate types.
 
-    The sets come from poly_sets, which forms one sumset per product type
-    and builds no counted table beyond the simple ones.
+    The sets come from poly_sets (one sumset per product type, no counted
+    table beyond the simple ones) and are peeled from degrees(t) unchecked.
+    Each simple table passed weylchar.seed_table; a sumset of such tables
+    keeps the identity and the degree at the rank, and its largest phi_v
+    exponent, a sum over the factors, is mu_v(t).  So CharPolyFamily would
+    accept it, and degrees_from_family would read back degrees(t).
 
     Set collisions come from the round trips.  A type t that peels back to
     itself passes, since its set is the input.  One that peels to u != t is
-    handed to reconstruct, which returns u only if u's set is the input: then
-    t shares its set with u and (u, t) is a collision, and when k swept types
-    share one set at least k - 1 of them report it.  A round trip that
-    raises is reported and the sweep goes on.
+    certified against the input without a second peel: u's set must be t's,
+    and then (u, t) is a collision, and when k swept types share one set at
+    least k - 1 of them report it.  A round trip that raises is reported and
+    the sweep goes on.
     Profiles are compared by profile_parts, once a second type of the same
     degrees comes, and filed under the degrees and a hash, so memory grows
     with the number of types; types filed under one hash are compared exactly.
@@ -226,11 +230,11 @@ def verify_determination(
     filed: Dict[Tuple, List[SemisimpleType]] = {}
     for t, polys in poly_sets(all_semisimple_types(rank_bound, alphabet)):
         report.types_checked += 1
+        degs = degrees(t)
         try:
-            fam = CharPolyFamily(polys, t.rank)
-            got = _peel_all(fam)
+            got = _peel_all(polys, degs)
             if got != t:
-                got = reconstruct(fam)  # certifies got, or raises
+                _certified(got, polys)
         except WeylOrdersError as exc:
             report.roundtrip_failures.append(f"{render(t)}: {exc}")
         else:
@@ -238,7 +242,6 @@ def verify_determination(
                 report.chset_collisions.append((render(got), render(t)))
                 report.roundtrip_failures.append(f"{render(t)} -> {render(got)}")
 
-        degs = degrees(t)
         lone = first.setdefault(degs, t)  # a type alone in its degrees needs no key
         if lone is not t:
             first[degs] = None

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, U
 import numpy as np
 
 from .cyclotomic import (CycloProduct, euler_phi, factor_power_minus_one,
-                         pairwise_products, sumset)
+                         max_exponents, pairwise_products, sumset)
 from .rootsystem import (
     EXCEPTIONAL,
     SemisimpleType,
@@ -336,32 +336,28 @@ _memo_lock = threading.Lock()
 
 
 def seed_table(table: CharPolyTable) -> None:
-    """Install an externally obtained single-factor table (validated again:
-    its entries dict may have changed since it was built).
-
-    The registry is write-once: seeding the table already installed for a
-    type does nothing, and seeding a different one raises ValueError.
-    """
+    """Install a single-factor table: the registry's one gate, for computed,
+    cached and seeded tables alike.  It is validated again (its entries may
+    have changed since it was built), and its largest phi_v exponent must be
+    mu_v for exactly the v in ch_star (Springer 1974).  The registry is
+    write-once: seeding the installed table again does nothing, and seeding
+    a different one raises ValueError."""
     table.validate()
     if len(table.type_label.factors) != 1:
         raise ValueError("only single-factor tables can be seeded")
     t = table.type_label.factors[0]
+    if max_exponents(table.entries) != {v: mu(t, v) for v in ch_star(t)}:
+        raise ValueError(f"table of {t} fails the largest-exponent certificate")
     with _memo_lock:
         if _table_memo.setdefault(t, table) != table:
             raise ValueError(f"a different table of {t} is already installed")
 
 
 def simple_table(t: SimpleType) -> CharPolyTable:
+    """The registered table of t, computed and passed through seed_table if missing."""
     t = t.canonical()
-    got = _table_memo.get(t)
-    if got is not None:
-        return got
-    if t in EXCEPTIONAL:
-        table = charpolys_exceptional(t)
-    else:
-        table = charpolys_classical(t)
-    with _memo_lock:
-        _table_memo.setdefault(t, table)
+    if t not in _table_memo:
+        seed_table(charpolys_exceptional(t) if t in EXCEPTIONAL else charpolys_classical(t))
     return _table_memo[t]
 
 
@@ -450,6 +446,8 @@ def mu_joint(t: SemisimpleType, i: int, j: int) -> int:
     factors; reduces to mu when one index never appears."""
     if i == j:
         raise ValueError("joint invariant needs two distinct indices")
+    if min(i, j) < 1:
+        raise ValueError("index must be >= 1")
     return sum(_mu_joint_simple(f, i, j) for f in t.factors)
 
 

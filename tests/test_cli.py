@@ -5,10 +5,11 @@ import pytest
 
 from weylorders import weylchar
 from weylorders.cli import cache_load, cache_store, run
+from weylorders.cyclotomic import CycloProduct
 from weylorders.errors import CacheInvalid
 from weylorders.orders import FactoredOrder
 from weylorders.rootsystem import SimpleType
-from weylorders.weylchar import charpolys_classical, charpolys_exceptional
+from weylorders.weylchar import CharPolyTable, charpolys_classical, charpolys_exceptional
 
 
 def run_json(capsys, argv, expect=0):
@@ -306,21 +307,28 @@ def test_cache_rejects_wrong_group_order(tmp_path):
         cache_load("G2", tmp_path)
 
 
-@pytest.mark.parametrize("field", ["count", "group_order"])
+@pytest.mark.parametrize("field", ["count", "group_order", "merged"])
 def test_charpolys_refuses_a_forged_cache_file(capsys, monkeypatch, tmp_path, field):
     monkeypatch.setattr(weylchar, "_table_memo", {})
-    path = cache_store(charpolys_exceptional(SimpleType("G", 2)), tmp_path)
+    table = charpolys_exceptional(SimpleType("G", 2))
+    if field == "merged":
+        # the phi_6 class counted under phi_3 passes validate(), not the gate
+        entries = dict(table.entries)
+        phi3, phi6 = CycloProduct.from_mapping({3: 1}), CycloProduct.from_mapping({6: 1})
+        entries[phi3] += entries.pop(phi6)
+        table = CharPolyTable(table.type_label, entries)
+    path = cache_store(table, tmp_path)
     payload = json.loads(path.read_text())
     if field == "count":
         payload["entries"][0]["count"] = str(int(payload["entries"][0]["count"]) + 1)
-    else:
+    elif field == "group_order":
         payload["group_order"] = "13"
     path.write_text(json.dumps(payload))
     assert run(["charpolys", "--type", "G2", "--cache", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert ": certificate failed: " in captured.err
+    assert ": certificate failed: " in captured.err and path.name in captured.err
 
 
 @pytest.mark.parametrize("payload", [[], 5, "x", None], ids=["list", "int", "str", "null"])

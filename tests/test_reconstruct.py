@@ -24,12 +24,14 @@ from weylorders.rootsystem import (
     degrees,
     parse_type,
     render,
+    types_with_degrees,
 )
 from weylorders.weylchar import (
     CharPolyTable,
     charpolys,
     invariant_profile,
     poly_set,
+    poly_sets,
     profile_parts,
 )
 
@@ -55,6 +57,15 @@ def test_degrees_from_family_examples():
     assert degrees_from_family(fam_of("A1")) == (2,)
     assert degrees_from_family(fam_of("G2")) == (2, 6)
     assert degrees_from_family(fam_of("A2xB3")) == (2, 2, 3, 4, 6)
+
+
+def test_degrees_from_family_reads_back_every_swept_type(e8_table):
+    # the oracle for the sweep, which peels each set from degrees(t) unchecked
+    checked = 0
+    for t, polys in poly_sets(all_semisimple_types(10, "ABDGFE")):
+        assert degrees_from_family(CharPolyFamily(polys, t.rank)) == degrees(t), t
+        checked += 1
+    assert checked == 1104
 
 
 def test_degrees_from_family_rejects_inconsistent_data():
@@ -264,7 +275,7 @@ def test_screened_round_trip_builds_its_set_once(monkeypatch, expr):
         return genuine(left, right)
 
     monkeypatch.setattr(weylchar, "sumset", counted)
-    assert reconstruct_module._peel_all(fam) == t
+    assert reconstruct_module._peel_all(fam.polys, degrees(t)) == t
     assert calls == []
     assert reconstruct(fam) == t
     assert len(calls) == len(t.factors) - 1
@@ -290,16 +301,30 @@ def test_sweep_certifies_a_foreign_round_trip(monkeypatch):
     a1a3, a2b2 = parse_type("A1xA3"), parse_type("A2xB2")
     genuine = reconstruct_module._peel_all
 
-    def forged(fam):
-        got = genuine(fam)
+    peels = []
+
+    def forged(polys, degs):
+        peels.append(degs)
+        got = genuine(polys, degs)
         return a1a3 if got == a2b2 else got
 
     monkeypatch.setattr(reconstruct_module, "_peel_all", forged)
     report = verify_determination(4)
+    assert len(peels) == report.types_checked  # the foreign round trip is not peeled again
     assert report.roundtrip_failures == [
         "A2xB2: family is not the polynomial set of A1xA3 or of any other catalogued type"]
     assert report.chset_collisions == []
     assert not report.ok
+
+
+def test_sweep_runs_no_check_on_outside_input(monkeypatch):
+    # its sets are sumsets of tables that passed the registry's gate
+    def refused(*args):
+        raise AssertionError("the sweep re-checked a set it built")
+
+    for name in ("CharPolyFamily", "degrees_from_family", "reconstruct"):
+        monkeypatch.setattr(reconstruct_module, name, refused)
+    assert verify_determination(8, alphabet="ABDGF").ok
 
 
 def test_profile_collision_check_reports_equal_profiles(monkeypatch):
@@ -374,8 +399,8 @@ def test_round_trip_that_raises_is_reported(monkeypatch):
     b3g2 = parse_type("B3xG2")
     genuine = reconstruct_module._peel_all
 
-    def failing(fam):
-        got = genuine(fam)
+    def failing(polys, degs):
+        got = genuine(polys, degs)
         if got == b3g2:
             raise AmbiguousBlock("forged ambiguity")
         return got
@@ -408,6 +433,31 @@ def test_block_covers_match_the_combinations_search():
             assert reconstruct_module._block_facts(f, h) == (block_degrees, covers)
             checked += 1
     assert checked == 487
+
+
+def test_only_coxeter_number_6_has_ambiguous_blocks():
+    # every block of at most four factors, h <= 60; the ambiguous degree
+    # classes all trade B3xB3 for D4xG2
+    b3, d4, g2 = (parse_type(x).factors[0] for x in ("B3", "D4", "G2"))
+    blocks, ambiguous = 0, set()
+    for h in range(2, 61):
+        catalogue = coxeter_catalogue(h)
+        for k in range(1, 5):
+            for block in itertools.combinations_with_replacement(catalogue, k):
+                covers = types_with_degrees(degrees(SemisimpleType(block)))
+                assert SemisimpleType(block) in covers
+                if len(covers) > 1:
+                    assert h == 6, block
+                    ambiguous.add(tuple(covers))
+                blocks += 1
+    assert blocks == 1282
+    assert len(ambiguous) == 14
+    for covers in ambiguous:
+        for u, v in itertools.combinations(covers, 2):
+            diff = Counter(u.factors)
+            diff.subtract(v.factors)
+            n = diff[d4]
+            assert n and {f: c for f, c in diff.items() if c} == {b3: -2 * n, d4: n, g2: n}
 
 
 def test_block_covers_of_any_polynomial_of_divisors_of_h():

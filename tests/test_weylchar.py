@@ -7,6 +7,7 @@ import pytest
 from weylorders import weylchar
 from weylorders.cyclotomic import CycloProduct
 from weylorders.rootsystem import (
+    SemisimpleType,
     SimpleType,
     cartan_pairing,
     degrees,
@@ -284,6 +285,17 @@ def test_mu_joint_examples():
     assert mu_joint(parse_type("B3"), 4, 6) == 1
     assert mu_joint(parse_type("E8"), 28, 30) == 1
     assert mu_joint(parse_type("A1"), 1, 2) == 1
+
+
+@pytest.mark.parametrize("label", ["", "A1"])
+@pytest.mark.parametrize("i, j", [(0, 2), (2, 0), (-1, 3)])
+def test_mu_joint_refuses_an_index_below_one(label, i, j):
+    # the empty type has no factor whose mu could refuse the index
+    t = parse_type(label) if label else SemisimpleType(())
+    with pytest.raises(ValueError, match="index must be >= 1"):
+        mu(t, min(i, j))
+    with pytest.raises(ValueError, match="index must be >= 1"):
+        mu_joint(t, i, j)
 
 
 def test_e8_mu_prime_and_joint(e8_table):
@@ -626,14 +638,32 @@ def test_seed_table_is_write_once(monkeypatch):
     assert weylchar._table_memo[g2.factors[0]] is table
     memo, profile = dict(weylchar._table_memo), invariant_profile(g2)
     assert mu_joint(g2, 2, 6) == profile.mu_joint[(2, 6)] == 2
-    # passes validate(), but no element has e_2 + e_6 = 2
+    # passes validate(), but no element has e_2 = 2, so the certificate fails
     forged = CharPolyTable(g2, {cp(d1=2): 1, cp(d1=1, d2=1): 7, cp(d3=1): 2, cp(d6=1): 2})
     with pytest.raises(ValueError, match="G2"):
         seed_table(forged)
+    # passes validate() and the largest-exponent certificate, but differs
+    swapped = CharPolyTable(g2, {cp(d1=2): 1, cp(d1=1, d2=1): 5, cp(d2=2): 2, cp(d3=1): 2,
+                                 cp(d6=1): 2})
+    with pytest.raises(ValueError, match="a different table of G2 is already installed"):
+        seed_table(swapped)
     assert weylchar._table_memo == memo
     assert weylchar._table_memo[g2.factors[0]] is table
     assert mu_joint(g2, 2, 6) == 2
     assert invariant_profile(g2) == profile
+
+
+def test_seed_table_refuses_a_table_whose_largest_exponents_are_not_mu(monkeypatch):
+    # G2 with its phi_6 class counted under phi_3: the counts still sum to
+    # 12 and validate() passes, but no entry has phi_6 although mu_6 = 1
+    monkeypatch.setattr(weylchar, "_table_memo", {})
+    g2 = parse_type("G2")
+    entries = dict(charpolys_exceptional(g2.factors[0]).entries)
+    entries[cp(d3=1)] += entries.pop(cp(d6=1))
+    merged = CharPolyTable(g2, entries)
+    with pytest.raises(ValueError, match="table of G2 fails the largest-exponent certificate"):
+        seed_table(merged)
+    assert weylchar._table_memo == {}
 
 
 def test_validate_checks_the_reflection_group_order():
