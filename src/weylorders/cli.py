@@ -8,6 +8,7 @@ computation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -197,15 +198,14 @@ def _cmd_invariants(args) -> int:
         doc = {"type": render(t), "i": i, "j": j, "mu_joint": value}
         _emit(doc, f"mu_{{{i},{j}}}({render(t)}) = {value}")
         return 0
-    profile = weylchar.invariant_profile(t)
+    mus, primes, deficits = map(dict, weylchar.profile_parts(t))
     doc = {
         "type": render(t),
-        "index_bound": profile.index_bound,
-        "mu": {str(i): v for i, v in sorted(profile.mu.items()) if v},
-        "mu_prime": {str(i): v for i, v in sorted(profile.mu_prime.items()) if v},
-        "mu_joint": {
-            f"{i},{j}": v for (i, j), v in sorted(profile.mu_joint.items())
-        },
+        "index_bound": max(30, 2 * t.rank),
+        "mu": {str(i): v for i, v in mus.items()},
+        "mu_prime": {str(i): v for i, v in primes.items() if v},
+        "mu_joint": {f"{i},{j}": mus[i] + mus[j] - deficits.get((i, j), 0)
+                     for i, j in itertools.combinations(sorted(mus), 2)},
     }
     _emit(doc, f"invariant profile of {render(t)}")
     return 0
@@ -218,7 +218,7 @@ def _cmd_reconstruct(args) -> int:
         rank = raw["rank"]
         if type(rank) is not int:
             raise TypeError(f"rank {rank!r} is not an integer")
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{args.input}: malformed family file ({exc!r})")
     fam = reconstruct.CharPolyFamily(polys, rank)
     t = reconstruct.reconstruct(fam)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from .rootsystem import (
     SemisimpleType,
     SimpleType,
     cartan_pairing,
+    coxeter_number,
     degrees,
     reflection_generators,
     table_parabolic,
@@ -38,7 +38,6 @@ from .rootsystem import (
 
 __all__ = [
     "CharPolyTable",
-    "InvariantProfile",
     "charpolys_classical",
     "charpolys_exceptional",
     "charpolys_enumerated",
@@ -49,7 +48,7 @@ __all__ = [
     "mu",
     "mu_prime",
     "mu_joint",
-    "invariant_profile",
+    "profile_parts",
 ]
 
 @dataclass(frozen=True)
@@ -338,8 +337,9 @@ _memo_lock = threading.Lock()
 def seed_table(table: CharPolyTable) -> None:
     """Install a single-factor table: the registry's one gate, for computed,
     cached and seeded tables alike.  It is validated again (its entries may
-    have changed since it was built), and its largest phi_v exponent must be
-    mu_v for exactly the v in ch_star (Springer 1974).  The registry is
+    have changed since it was built), and by Springer (1974) its largest
+    phi_v exponent must be mu_v for exactly the v in ch_star, and one entry
+    alone, with no phi_1, has phi_h, h the Coxeter number.  The registry is
     write-once: seeding the installed table again does nothing, and seeding
     a different one raises ValueError."""
     table.validate()
@@ -348,6 +348,9 @@ def seed_table(table: CharPolyTable) -> None:
     t = table.type_label.factors[0]
     if max_exponents(table.entries) != {v: mu(t, v) for v in ch_star(t)}:
         raise ValueError(f"table of {t} fails the largest-exponent certificate")
+    h = coxeter_number(t)
+    if [p.exponent(1) for p in table.entries if p.exponent(h)] != [0]:
+        raise ValueError(f"table of {t} fails the Coxeter-class certificate")
     with _memo_lock:
         if _table_memo.setdefault(t, table) != table:
             raise ValueError(f"a different table of {t} is already installed")
@@ -420,59 +423,22 @@ def mu(t: Union[SimpleType, SemisimpleType], i: int) -> int:
     return sum(1 for d in degrees(t) if d % i == 0)
 
 
-def _mu_prime_simple(f: SimpleType, i: int) -> int:
-    top = mu(f, i)
-    if top == 0:
-        return 0
-    return min(p.exponent(2) for p in simple_table(f).entries if p.exponent(i) == top)
-
-
 def mu_prime(t: SemisimpleType, i: int) -> int:
     """Minimal phi_2-exponent accompanying the maximal phi_i-exponent (i > 2)."""
     if i <= 2:
         raise ValueError("mu' is defined only for indices > 2")
-    return sum(_mu_prime_simple(f, i) for f in t.factors)
-
-
-def _mu_joint_simple(f: SimpleType, i: int, j: int) -> int:
-    mi, mj = mu(f, i), mu(f, j)
-    if mi == 0 or mj == 0:
-        return mi + mj
-    return max(p.exponent(i) + p.exponent(j) for p in simple_table(f).entries)
+    return sum(_factor_profile(f)[1][i] for f in t.factors if mu(f, i))
 
 
 def mu_joint(t: SemisimpleType, i: int, j: int) -> int:
-    """Maximal summed phi_i/phi_j exponent over the table, additively over
-    factors; reduces to mu when one index never appears."""
+    """Maximal summed phi_i/phi_j exponent over the table: mu_i + mu_j less
+    the factors' deficits at (i, j), read only where both mu are positive."""
     if i == j:
         raise ValueError("joint invariant needs two distinct indices")
-    if min(i, j) < 1:
-        raise ValueError("index must be >= 1")
-    return sum(_mu_joint_simple(f, i, j) for f in t.factors)
-
-
-@dataclass(frozen=True)
-class InvariantProfile:
-    """Complete mu / mu' / joint record of a type within an index bound.
-
-    Joint entries are stored only for index pairs where both single
-    invariants are positive; all other joint values are forced to
-    max(mu_i, mu_j) and carry no extra information.
-    """
-
-    type_label: SemisimpleType
-    index_bound: int
-    mu: Dict[int, int]
-    mu_prime: Dict[int, int]
-    mu_joint: Dict[Tuple[int, int], int]
-
-    def key(self) -> Tuple:
-        return (
-            self.index_bound,
-            tuple(sorted(self.mu.items())),
-            tuple(sorted(self.mu_prime.items())),
-            tuple(sorted(self.mu_joint.items())),
-        )
+    mi, mj = mu(t, i), mu(t, j)  # refuses an index below 1, even with no factor
+    pair = (min(i, j), max(i, j))
+    return mi + mj - sum(_factor_profile(f)[2].get(pair, 0)
+                         for f in t.factors if mu(f, i) and mu(f, j))
 
 
 # Per simple factor f: mu_i(f) at each index i with mu_i(f) > 0, mu'_i(f) at
@@ -485,18 +451,62 @@ _Parts = Tuple[Dict[int, int], Dict[int, int], Dict[Tuple[int, int], int]]
 
 @functools.cache
 def _factor_profile(f: SimpleType) -> _Parts:
-    # the indices of the table are ch_star(f); reading them off the table
-    # builds it first, which refuses a rank beyond what a CycloProduct holds
-    table = simple_table(f)
-    positive = sorted(table.indices())
-    cols = {i: [p.exponent(i) for p in table.entries] for i in positive}
-    mus = {i: mu(f, i) for i in positive}
-    # every simple type has the degree 2, so phi_2 is among the indices
-    primes = {i: min(c2 for ci, c2 in zip(cols[i], cols[2]) if ci == mus[i])
-              for i in positive if i > 2}
-    joint = {(i, j): mus[i] + mus[j] - max(map(operator.add, cols[i], cols[j]))
-             for i, j in itertools.combinations(positive, 2)}
+    """The parts of f from best(value), the largest sum of c * e_d over
+    value's items (d, c) on an element of W(f), e_d its phi_d exponent.
+    With big = rank + 1 > e_2, big * e_i - e_2 is largest where e_i = mu_i
+    and e_2 is least there; mu_{i,j} is the largest e_i + e_j."""
+    CycloProduct.from_mapping({1: f.rank})  # refuses a rank past capacity first
+    mus = {i: mu(f, i) for i in sorted(ch_star(f))}
+    best = _table_best(f) if f in EXCEPTIONAL else _cycle_best(f.canonical())
+    big = f.rank + 1
+    primes = {i: big * mus[i] - best({i: big, 2: -1}) for i in mus if i > 2}
+    joint = {(i, j): mus[i] + mus[j] - best({i: 1, j: 1}) for i, j in itertools.combinations(mus, 2)}
     return mus, primes, {pair: deficit for pair, deficit in joint.items() if deficit}
+
+
+def _table_best(f: SimpleType):
+    cols = {d: [p.exponent(d) for p in simple_table(f).entries] for d in ch_star(f)}
+    return lambda value: max(map(sum, zip(*([c * e for e in cols[d]] for d, c in value.items()))))
+
+
+def _cycle_best(f: SimpleType):
+    """best for A_n, B_n or D_n from signed cycle types, with no table (R. W.
+    Carter, Compositio Math. 25, 1972): a positive k-cycle adds phi_d for
+    each d | k, a negative one (B and D) phi_d for each d | 2k not dividing
+    k.  The sizes sum to n + 1 for A_n, less one phi_1, and to n for B_n and
+    D_n, with an even number of negative cycles for D_n.  A cycle is left out
+    when a smaller one of its sign is worth at least as much: trading it for
+    that one plus positive 1-cycles keeps the size and the number of negative
+    cycles and loses nothing, as every objective has coefficients >= 0 at
+    phi_1 and at phi_4 (a negative 2-cycle).  So no cycle of size over 2 that
+    adds no index the objective reads is kept."""
+    n, letter = f.rank, f.letter
+    total = n + 1 if letter == "A" else n
+    holders: Dict[int, List[Tuple[bool, int]]] = {}  # d -> the (negative, size) adding phi_d
+    for k, d in itertools.product(range(1, total + 1), range(1, 2 * total + 1)):
+        if k % d == 0 or (letter != "A" and k <= n and 2 * k % d == 0):
+            holders.setdefault(d, []).append((k % d > 0, k))
+    small = [(False, 1), (False, 2)] + ([(True, 1), (True, 2)] if letter != "A" else [])
+
+    def best(value: Dict[int, int]) -> int:
+        worth = dict.fromkeys(small, 0)
+        for d, c in value.items():
+            for cycle in holders.get(d, ()):
+                worth[cycle] = worth.get(cycle, 0) + c
+        # by total size, with an even or odd number of D_n's negative cycles
+        even, odd, top = [0] + [-math.inf] * total, [-math.inf] * (total + 1), {}
+        for (negative, k), v in sorted(worth.items()):
+            if v > top.get(negative, -math.inf):
+                top[negative] = v
+                to_even, to_odd = (odd, even) if negative and letter == "D" else (even, odd)
+                for s in range(k, total + 1):
+                    if to_even[s - k] + v > even[s]:
+                        even[s] = to_even[s - k] + v
+                    if to_odd[s - k] + v > odd[s]:
+                        odd[s] = to_odd[s - k] + v
+        return even[total] - value.get(1, 0) if letter == "A" else even[total]
+
+    return best
 
 
 def profile_parts(t: SemisimpleType) -> Tuple[FrozenSet, FrozenSet, FrozenSet]:
@@ -509,14 +519,3 @@ def profile_parts(t: SemisimpleType) -> Tuple[FrozenSet, FrozenSet, FrozenSet]:
             for k, v in part.items():
                 total[k] = total.get(k, 0) + v
     return tuple(frozenset(total.items()) for total in sums)
-
-
-def invariant_profile(t: SemisimpleType) -> InvariantProfile:
-    bound = max(30, 2 * t.rank)
-    mus, primes, deficits = map(dict, profile_parts(t))
-    mu_map = {i: mus.get(i, 0) for i in range(1, bound + 1)}
-    prime_map = {i: primes.get(i, 0) for i in range(3, bound + 1)}
-    positive = [i for i in range(1, bound + 1) if mu_map[i] > 0]
-    joint_map = {(i, j): mu_map[i] + mu_map[j] - deficits.get((i, j), 0)
-                 for i, j in itertools.combinations(positive, 2)}
-    return InvariantProfile(t, bound, mu_map, prime_map, joint_map)

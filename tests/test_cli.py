@@ -8,7 +8,7 @@ from weylorders.cli import cache_load, cache_store, run
 from weylorders.cyclotomic import CycloProduct
 from weylorders.errors import CacheInvalid
 from weylorders.orders import FactoredOrder
-from weylorders.rootsystem import SimpleType
+from weylorders.rootsystem import SimpleType, parse_type
 from weylorders.weylchar import CharPolyTable, charpolys_classical, charpolys_exceptional
 
 
@@ -144,9 +144,28 @@ def test_invariants_joint_reads_no_table(capsys, monkeypatch):
     def no_table(t):
         raise AssertionError(f"the {t} table was computed for a degree-only answer")
 
+    monkeypatch.setattr(weylchar, "_table_memo", {})
     monkeypatch.setattr(weylchar, "charpolys_exceptional", no_table)
+    weylchar._factor_profile.cache_clear()
     doc = run_json(capsys, ["invariants", "--type", "E8", "--joint", "28", "30"])
     assert doc["mu_joint"] == 1
+    # mu_11(E8) = 0, so only A10's parts are read
+    doc = run_json(capsys, ["invariants", "--type", "E8xA10", "--joint", "2", "11"])
+    assert doc["mu_joint"] == 13
+    assert weylchar.mu_prime(parse_type("E8xA10"), 11) == 0
+
+
+def test_classical_invariants_build_no_table(capsys, monkeypatch):
+    def no_table(t):
+        raise AssertionError(f"the {t} table was built for a classical invariant")
+
+    monkeypatch.setattr(weylchar, "_table_memo", {})
+    monkeypatch.setattr(weylchar, "charpolys_classical", no_table)
+    weylchar._factor_profile.cache_clear()
+    doc = run_json(capsys, ["invariants", "--type", "B30"])
+    assert doc["mu"]["60"] == 1 and doc["index_bound"] == 60
+    doc = run_json(capsys, ["invariants", "--type", "D12", "--joint", "4", "6"])
+    assert doc["mu_joint"] == 6
 
 
 def test_reconstruct_command(capsys, tmp_path):
@@ -170,6 +189,9 @@ def test_reconstruct_command(capsys, tmp_path):
         '{"polys": [[1]], "rank": 1}',
         '{"rank": 1, "polys": [{"1": 1.2}, {"2": 1.9}]}',
         '{"rank": 1.9, "polys": [{"1": 1}, {"2": true}]}',
+        '{"rank": "1", "polys": [{"1": 1}, {"2": 1}]}',
+        '{"rank": 1, "polys": [{"1": 1}, {"x": 1}]}',
+        '{"rank": 1, "polys": [{"1": 1}, {"0": 2}]}',
     ],
 )
 def test_reconstruct_rejects_malformed_family_file(capsys, tmp_path, doc):
@@ -185,6 +207,11 @@ def test_coincide_command(capsys):
     doc = run_json(capsys, ["coincide", "--max-rank", "4"])
     assert {"left": "A1xA3", "right": "A2xB2"} in doc["pairs"]
     assert run(["coincide", "--factors", "3", "--max-rank", "4"]) == 2
+
+
+def test_coincide_refuses_a_rank_bound_below_2(capsys):
+    assert run(["coincide", "--max-rank", "1"]) == 1
+    assert capsys.readouterr().err == "error: rank bound must be >= 2\n"
 
 
 def test_max_rank_zero_is_a_usage_error(capsys):
@@ -307,8 +334,9 @@ def test_cache_rejects_wrong_group_order(tmp_path):
         cache_load("G2", tmp_path)
 
 
-@pytest.mark.parametrize("field", ["count", "group_order", "merged"])
-def test_charpolys_refuses_a_forged_cache_file(capsys, monkeypatch, tmp_path, field):
+@pytest.mark.parametrize("field", ["count", "group_order", "merged", "coxeter-moved",
+                                   "coxeter-split"])
+def test_charpolys_refuses_a_forged_cache_file(capsys, monkeypatch, tmp_path, e7_table, field):
     monkeypatch.setattr(weylchar, "_table_memo", {})
     table = charpolys_exceptional(SimpleType("G", 2))
     if field == "merged":
@@ -317,6 +345,15 @@ def test_charpolys_refuses_a_forged_cache_file(capsys, monkeypatch, tmp_path, fi
         phi3, phi6 = CycloProduct.from_mapping({3: 1}), CycloProduct.from_mapping({6: 1})
         entries[phi3] += entries.pop(phi6)
         table = CharPolyTable(table.type_label, entries)
+    elif field.startswith("coxeter"):
+        # E7's Coxeter class phi_2 phi_18, all of it or half, counted under
+        # phi_1 phi_18: it passes validate() and the largest exponents
+        entries = dict(e7_table.entries)
+        coxeter = CycloProduct.from_mapping({2: 1, 18: 1})
+        moved = entries[coxeter] // (1 if field == "coxeter-moved" else 2)
+        entries[coxeter] -= moved
+        entries[CycloProduct.from_mapping({1: 1, 18: 1})] = moved
+        table = CharPolyTable(e7_table.type_label, {p: c for p, c in entries.items() if c})
     path = cache_store(table, tmp_path)
     payload = json.loads(path.read_text())
     if field == "count":
@@ -324,7 +361,8 @@ def test_charpolys_refuses_a_forged_cache_file(capsys, monkeypatch, tmp_path, fi
     elif field == "group_order":
         payload["group_order"] = "13"
     path.write_text(json.dumps(payload))
-    assert run(["charpolys", "--type", "G2", "--cache", str(tmp_path)]) == 1
+    label = str(table.type_label)
+    assert run(["charpolys", "--type", label, "--cache", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -342,6 +380,13 @@ def test_charpolys_refuses_a_cache_file_that_is_not_an_object(capsys, monkeypatc
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert path.name in captured.err and "not a JSON object" in captured.err
+
+
+def test_cache_rejects_a_file_of_another_type(tmp_path):
+    path = cache_store(charpolys_exceptional(SimpleType("G", 2)), tmp_path)
+    path.rename(tmp_path / "charpolys_v1_F4.json")
+    with pytest.raises(CacheInvalid, match="type label mismatch"):
+        cache_load("F4", tmp_path)
 
 
 def test_cache_rejects_version_mismatch(tmp_path):

@@ -212,6 +212,21 @@ def test_albert_construction_validates():
         AlbertElement(tuple(tuple(r) for r in rows), X.gamma)
 
 
+def test_albert_diagonal_must_be_scalar():
+    field = PrimeField(7)
+    X = albert_identity(field, (field.one, -field.one, field.one))
+    rows = [list(r) for r in X.m]
+    rows[0][0] = oct_basis(field)[0]
+    with pytest.raises(ValueError, match="diagonal entries must be scalars"):
+        AlbertElement(tuple(tuple(r) for r in rows), X.gamma)
+
+
+def test_gamma_with_a_zero_entry_is_refused():
+    field = PrimeField(7)
+    with pytest.raises(ValueError, match="gamma must be three nonzero scalars"):
+        albert_identity(field, (field.one, field.zero, field.one))
+
+
 def test_albert_identity_and_idempotent():
     field = PrimeField(7)
     gamma = (field.one, -field.one, field.one)

@@ -17,6 +17,7 @@ from weylorders.orders import (
     split_prime_power,
 )
 from weylorders.rootsystem import (
+    SemisimpleType,
     SimpleType,
     all_semisimple_types,
     degrees,
@@ -91,6 +92,11 @@ def test_p_contribution_examples():
     assert largest and (w.char_power, w.rival_power) == (8, 7)
 
 
+def test_p_contribution_refuses_the_empty_type():
+    with pytest.raises(WeylOrdersError, match="empty type has no characteristic contribution"):
+        p_contribution_is_largest(SemisimpleType(()), 2)
+
+
 def test_exception_list_examples():
     assert in_exception_list(SimpleType("A", 1), 5)
     assert in_exception_list(SimpleType("B", 2), 3)
@@ -122,6 +128,11 @@ def test_recognize_examples():
     ]
     assert [(render(t), q) for t, q in recognize_order(6, 2)] == [("A1", 2)]
     assert recognize_order(7, 4) == []
+
+
+def test_recognize_refuses_an_order_below_2():
+    with pytest.raises(WeylOrdersError, match="m must be >= 2"):
+        recognize_order(1)
 
 
 def test_recognize_without_rank_bound():

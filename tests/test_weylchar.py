@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -5,13 +6,16 @@ import tracemalloc
 import pytest
 
 from weylorders import weylchar
-from weylorders.cyclotomic import CycloProduct
+from weylorders.cli import run
+from weylorders.cyclotomic import CycloProduct, max_exponents
 from weylorders.rootsystem import (
     SemisimpleType,
     SimpleType,
     cartan_pairing,
     degrees,
     parse_type,
+    render,
+    simple_types,
     table_parabolic,
     weyl_order,
 )
@@ -22,12 +26,12 @@ from weylorders.weylchar import (
     charpolys_classical,
     charpolys_enumerated,
     charpolys_exceptional,
-    invariant_profile,
     mu,
     mu_joint,
     mu_prime,
     poly_set,
     poly_sets,
+    profile_parts,
     seed_table,
 )
 
@@ -287,6 +291,11 @@ def test_mu_joint_examples():
     assert mu_joint(parse_type("A1"), 1, 2) == 1
 
 
+def test_mu_joint_refuses_equal_indices():
+    with pytest.raises(ValueError, match="joint invariant needs two distinct indices"):
+        mu_joint(parse_type("B3"), 3, 3)
+
+
 @pytest.mark.parametrize("label", ["", "A1"])
 @pytest.mark.parametrize("i, j", [(0, 2), (2, 0), (-1, 3)])
 def test_mu_joint_refuses_an_index_below_one(label, i, j):
@@ -337,34 +346,60 @@ def test_identity_entry_count_one():
 
 
 def test_invariant_profile_examples():
-    prof = invariant_profile(parse_type("A1"))
-    assert prof.mu[1] == 1 and prof.mu[2] == 1
-    assert all(v == 0 for i, v in prof.mu.items() if i > 2)
+    mus = dict(profile_parts(parse_type("A1"))[0])
+    assert mus[1] == 1 and mus[2] == 1
+    assert set(mus) == {1, 2} and all(mu(parse_type("A1"), i) == 0 for i in range(3, 31))
 
-    prof_b2 = invariant_profile(parse_type("B2"))
-    assert prof_b2.mu[4] == 1 and prof_b2.mu[2] == 2
+    mus_b2 = dict(profile_parts(parse_type("B2"))[0])
+    assert mus_b2[4] == 1 and mus_b2[2] == 2
 
-    p1 = invariant_profile(parse_type("A1xA3"))
-    p2 = invariant_profile(parse_type("A2xB2"))
-    assert p1.mu_joint[(3, 4)] != p2.mu_joint[(3, 4)]
-    assert p1.key() != p2.key()
+    t1, t2 = parse_type("A1xA3"), parse_type("A2xB2")
+    assert mu_joint(t1, 3, 4) != mu_joint(t2, 3, 4)
+    assert profile_parts(t1) != profile_parts(t2)
 
 
 def test_invariant_profile_bounds():
+    from weylorders.cyclotomic import euler_phi
+
     for name in ("A2", "B3", "G2", "A2xB2"):
         t = parse_type(name)
-        prof = invariant_profile(t)
-        from weylorders.cyclotomic import euler_phi
-
-        for i, v in prof.mu.items():
+        mus = dict(profile_parts(t)[0])
+        for i in range(1, 31):
             if euler_phi(i) > t.rank:
-                assert v == 0
-        for (i, j), v in prof.mu_joint.items():
-            assert v <= prof.mu[i] + prof.mu[j]
-            assert v >= max(prof.mu[i], prof.mu[j])
+                assert mu(t, i) == 0 and i not in mus
+        for i in mus:
+            for j in mus:
+                if i < j:
+                    v = mu_joint(t, i, j)
+                    assert max(mus[i], mus[j]) <= v <= mus[i] + mus[j]
 
 
-def test_invariant_profile_matches_direct_calls(e8_table):
+# The table scans: one pass over a simple factor's table per index and pair,
+# the oracle for _factor_profile.
+
+
+def _mu_prime_simple(f, i):
+    top = mu(f, i)
+    if top == 0:
+        return 0
+    return min(p.exponent(2) for p in weylchar.simple_table(f).entries if p.exponent(i) == top)
+
+
+def _mu_joint_simple(f, i, j):
+    mi, mj = mu(f, i), mu(f, j)
+    if mi == 0 or mj == 0:
+        return mi + mj
+    return max(p.exponent(i) + p.exponent(j) for p in weylchar.simple_table(f).entries)
+
+
+def _profile_document(capsys, t):
+    assert run(["invariants", "--type", render(t)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_invariant_profile_matches_direct_calls(capsys, e8_table):
+    # the CLI's profile and the direct calls, both read from the factors'
+    # parts, against the table scans summed over the factors
     from weylorders.rootsystem import all_semisimple_types
 
     types = list(all_semisimple_types(8, "ABDGFE"))
@@ -373,35 +408,45 @@ def test_invariant_profile_matches_direct_calls(e8_table):
         bound = max(30, 2 * t.rank)
         mus = {i: mu(t, i) for i in range(1, bound + 1)}
         positive = [i for i in mus if mus[i]]
-        want = (
-            bound,
-            tuple(mus.items()),
-            tuple((i, mu_prime(t, i)) for i in range(3, bound + 1)),
-            tuple(((i, j), mu_joint(t, i, j))
-                  for i in positive for j in positive if i < j),
-        )
-        assert invariant_profile(t).key() == want, t
+        primes = {i: sum(_mu_prime_simple(f, i) for f in t.factors) for i in range(3, bound + 1)}
+        joint = {(i, j): sum(_mu_joint_simple(f, i, j) for f in t.factors)
+                 for i in positive for j in positive if i < j}
+        assert primes == {i: mu_prime(t, i) for i in primes}, t
+        assert joint == {(i, j): mu_joint(t, i, j) for i, j in joint}, t
+        assert _profile_document(capsys, t) == {
+            "type": render(t),
+            "index_bound": bound,
+            "mu": {str(i): mus[i] for i in positive},
+            "mu_prime": {str(i): v for i, v in primes.items() if v},
+            "mu_joint": {f"{i},{j}": v for (i, j), v in joint.items()},
+        }, t
 
 
-def test_e8_profile_complete(e8_table):
-    prof = invariant_profile(parse_type("E8"))
-    assert set(prof.mu_prime) == set(range(3, 31))
-    assert prof.mu_prime[30] == 0
-    assert prof.mu_joint[(2, 30)] == 8
-    assert (28, 30) not in prof.mu_joint  # mu_28 = 0: forced, not stored
+def test_e8_profile_complete(capsys, e8_table):
+    e8 = parse_type("E8")
+    doc = _profile_document(capsys, e8)
+    assert doc["index_bound"] == 30
+    assert [mu_prime(e8, i) for i in range(3, 31)] == [doc["mu_prime"].get(str(i), 0)
+                                                     for i in range(3, 31)]
+    assert mu_prime(e8, 30) == 0 and "30" not in doc["mu_prime"]
+    assert doc["mu_joint"]["2,30"] == 8
+    assert "28,30" not in doc["mu_joint"]  # mu_28 = 0: forced, not stored
 
 
-def test_factor_profile_matches_the_table_scans(e7_table):
-    # the column reads against one scan of the table per index and pair
-    from weylorders.rootsystem import EXCEPTIONAL, simple_types
+def test_factor_profile_matches_the_table_scans(e8_table):
+    # the knapsack over cycle types (A, B, D) and the table reads (G, F, E)
+    # against one scan of the table per index and pair
+    from weylorders.rootsystem import EXCEPTIONAL
 
-    types = simple_types(12, "ABD") + list(EXCEPTIONAL[:4])
+    types = (simple_types(16, "A") + simple_types(16, "B") + simple_types(16, "D")
+             + list(EXCEPTIONAL))
+    assert len(types) == 16 + 15 + 13 + 5
     for f in types:
         positive = sorted(ch_star(f))
         mus, primes, deficits = weylchar._factor_profile(f)
         assert mus == {i: mu(f, i) for i in positive}, f
-        assert primes == {i: weylchar._mu_prime_simple(f, i) for i in positive if i > 2}, f
-        want = {(i, j): mu(f, i) + mu(f, j) - weylchar._mu_joint_simple(f, i, j)
+        assert primes == {i: _mu_prime_simple(f, i) for i in positive if i > 2}, f
+        want = {(i, j): mu(f, i) + mu(f, j) - _mu_joint_simple(f, i, j)
                 for i in positive for j in positive if i < j}
         assert deficits == {pair: v for pair, v in want.items() if v}, f
 
@@ -636,8 +681,8 @@ def test_seed_table_is_write_once(monkeypatch):
     table = weylchar.simple_table(g2.factors[0])
     seed_table(CharPolyTable(g2, dict(table.entries)))  # equal: a no-op
     assert weylchar._table_memo[g2.factors[0]] is table
-    memo, profile = dict(weylchar._table_memo), invariant_profile(g2)
-    assert mu_joint(g2, 2, 6) == profile.mu_joint[(2, 6)] == 2
+    memo, profile = dict(weylchar._table_memo), profile_parts(g2)
+    assert mu_joint(g2, 2, 6) == mu(g2, 2) + mu(g2, 6) - dict(profile[2]).get((2, 6), 0) == 2
     # passes validate(), but no element has e_2 = 2, so the certificate fails
     forged = CharPolyTable(g2, {cp(d1=2): 1, cp(d1=1, d2=1): 7, cp(d3=1): 2, cp(d6=1): 2})
     with pytest.raises(ValueError, match="G2"):
@@ -650,7 +695,7 @@ def test_seed_table_is_write_once(monkeypatch):
     assert weylchar._table_memo == memo
     assert weylchar._table_memo[g2.factors[0]] is table
     assert mu_joint(g2, 2, 6) == 2
-    assert invariant_profile(g2) == profile
+    assert profile_parts(g2) == profile
 
 
 def test_seed_table_refuses_a_table_whose_largest_exponents_are_not_mu(monkeypatch):
@@ -664,6 +709,28 @@ def test_seed_table_refuses_a_table_whose_largest_exponents_are_not_mu(monkeypat
     with pytest.raises(ValueError, match="table of G2 fails the largest-exponent certificate"):
         seed_table(merged)
     assert weylchar._table_memo == {}
+
+
+@pytest.mark.parametrize("moved", [8, 4], ids=["moved", "split"])
+def test_seed_table_refuses_a_table_whose_coxeter_class_has_phi_1(monkeypatch, moved):
+    # B3's Coxeter class phi_2 phi_6 (8 elements), all of it or half, counted
+    # under phi_1 phi_6: validate() and the largest exponents still pass
+    monkeypatch.setattr(weylchar, "_table_memo", {})
+    b3 = SimpleType("B", 3)
+    genuine = charpolys_classical(b3).entries
+    entries = dict(genuine)
+    entries[cp(d2=1, d6=1)] -= moved
+    entries[cp(d1=1, d6=1)] = moved
+    forged = CharPolyTable(SemisimpleType.of(b3), {p: c for p, c in entries.items() if c})
+    assert max_exponents(forged.entries) == max_exponents(genuine)
+    with pytest.raises(ValueError, match="table of B3 fails the Coxeter-class certificate"):
+        seed_table(forged)
+    assert weylchar._table_memo == {}
+
+
+def test_seed_table_refuses_a_product_table():
+    with pytest.raises(ValueError, match="only single-factor tables can be seeded"):
+        seed_table(charpolys(parse_type("A1xA1")))
 
 
 def test_validate_checks_the_reflection_group_order():
