@@ -216,8 +216,8 @@ def _cmd_reconstruct(args) -> int:
     try:
         polys = frozenset(map(_poly_from_json, raw["polys"]))
         rank = raw["rank"]
-        if type(rank) is not int:
-            raise TypeError(f"rank {rank!r} is not an integer")
+        if type(rank) is not int or rank < 0:
+            raise TypeError(f"rank {rank!r} is not a nonnegative integer")
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{args.input}: malformed family file ({exc!r})")
     fam = reconstruct.CharPolyFamily(polys, rank)

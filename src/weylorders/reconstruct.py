@@ -22,11 +22,13 @@ from .rootsystem import (
     SemisimpleType,
     SimpleType,
     all_semisimple_types,
+    coxeter_number,
     degrees,
     render,
+    simple_types,
     types_with_degrees,
 )
-from .weylchar import poly_set, poly_sets, profile_parts, simple_table
+from .weylchar import poly_set, profile_parts, simple_table
 
 __all__ = [
     "CharPolyFamily",
@@ -155,23 +157,6 @@ def peel_max_coxeter(
     return covers[0], residual, tuple(sorted(rest.elements()))
 
 
-def _peel_all(polys: FrozenSet[CycloProduct], degs: Tuple[int, ...]) -> SemisimpleType:
-    """Peel polys, of degrees degs, until no degree is left; the type, not yet certified."""
-    factors: List[SimpleType] = []
-    while degs:
-        block, polys, degs = peel_max_coxeter(polys, degs)
-        factors.extend(block)
-    return SemisimpleType.of(*factors)
-
-
-def _certified(u: SemisimpleType, polys: FrozenSet[CycloProduct]) -> SemisimpleType:
-    """u, if its own polynomial set is polys; NotAWeylFamily otherwise."""
-    if poly_set(u) != polys:
-        raise NotAWeylFamily(f"family is not the polynomial set of {render(u)} "
-                             "or of any other catalogued type")
-    return u
-
-
 def reconstruct(fam: CharPolyFamily) -> SemisimpleType:
     """The canonical type whose polynomial set is fam, found by peeling.
 
@@ -179,7 +164,15 @@ def reconstruct(fam: CharPolyFamily) -> SemisimpleType:
     input exactly, so inconsistent input families fail instead of mapping to
     a wrong type.
     """
-    return _certified(_peel_all(fam.polys, degrees_from_family(fam)), fam.polys)
+    polys, degs, factors = fam.polys, degrees_from_family(fam), []
+    while degs:
+        block, polys, degs = peel_max_coxeter(polys, degs)
+        factors.extend(block)
+    t = SemisimpleType.of(*factors)
+    if poly_set(t) != fam.polys:
+        raise NotAWeylFamily(f"family is not the polynomial set of {render(t)} "
+                             "or of any other catalogued type")
+    return t
 
 
 @dataclass
@@ -207,41 +200,62 @@ def verify_determination(
     """Exhaustively verify that distinct types have distinct polynomial sets,
     that reconstruction round-trips, and that invariant profiles separate types.
 
-    The sets come from poly_sets (one sumset per product type, no counted
-    table beyond the simple ones) and are peeled from degrees(t) unchecked.
-    Each simple table passed weylchar.seed_table; a sumset of such tables
-    keeps the identity and the degree at the rank, and its largest phi_v
-    exponent, a sum over the factors, is mu_v(t).  So CharPolyFamily would
-    accept it, and degrees_from_family would read back degrees(t).
+    Round trips go by induction on Coxeter blocks.  Every simple table passed
+    weylchar.seed_table: (L1) one entry alone has phi_h, h the Coxeter number,
+    and it is the Coxeter polynomial, with no phi_1; (L2) the largest phi_v
+    exponent is mu_v.  Let t's factors of largest Coxeter number h form the
+    block B, b = |B|, and the others the rest.  By L2 no factor of the rest
+    has phi_h and each in B has mu_h = 1, so the entries of set(t) with
+    phi_h^b are cox(B) * set(rest), cox(B) the product of the factors'
+    Coxeter entries.  By L1 cox(B) has no phi_1, so the starred entry is
+    cox(B) * phi_1^(rank rest), unique as only the identity of the rest has
+    phi_1^(rank rest); the residual is set(rest), with degrees(rest) left.
+    So the peel at level h sees the set and the degrees of u_h, the factors
+    of Coxeter number <= h, and _block_facts(cox(B_h), h) lists B_h.  t
+    round-trips if and only if, at every level h where it lists more than
+    one cover (only h = 6 has such), the peel of set(u_h) returns B_h; no
+    set is built for any other level.
 
-    Set collisions come from the round trips.  A type t that peels back to
-    itself passes, since its set is the input.  One that peels to u != t is
-    certified against the input without a second peel: u's set must be t's,
-    and then (u, t) is a collision, and when k swept types share one set at
-    least k - 1 of them report it.  A round trip that raises is reported and
-    the sweep goes on.
+    Levels are walked from the top down to the first failure, as the peel
+    goes, and each screen is kept per u_h for the call (one that raises is
+    not kept).  A screen that raises reports "t: message"; one that returns
+    another block c reports the collision (t', t) and "t -> t'", t' being t
+    with c in place of B_h, since then set(c x rest) = set(u_h), so set(t')
+    = set(t).
     Profiles are compared by profile_parts, once a second type of the same
     degrees comes, and filed under the degrees and a hash, so memory grows
     with the number of types; types filed under one hash are compared exactly.
     """
     alphabet = "".join(sorted(set(alphabet)))
     report = DeterminationReport(rank_bound, alphabet)
+    coxeter: Dict[SimpleType, Tuple[int, CycloProduct]] = {}  # h_f and f's Coxeter entry
+    for f in simple_types(rank_bound, alphabet):
+        h = coxeter_number(f)
+        coxeter[f] = h, next(p for p in simple_table(f).entries if p.exponent(h))
+    screens: Dict[SemisimpleType, Tuple[SimpleType, ...]] = {}
     first: Dict[Tuple[int, ...], Optional[SemisimpleType]] = {}
     filed: Dict[Tuple, List[SemisimpleType]] = {}
-    for t, polys in poly_sets(all_semisimple_types(rank_bound, alphabet)):
+    for t in all_semisimple_types(rank_bound, alphabet):
         report.types_checked += 1
-        degs = degrees(t)
         try:
-            got = _peel_all(polys, degs)
-            if got != t:
-                _certified(got, polys)
+            for h in sorted({coxeter[f][0] for f in t.factors}, reverse=True):
+                block = tuple(f for f in t.factors if coxeter[f][0] == h)
+                cox = math.prod((coxeter[f][1] for f in block), start=CycloProduct.one())
+                if len(_block_facts(cox, h)[1]) == 1:
+                    continue
+                u = SemisimpleType.of(*(f for f in t.factors if coxeter[f][0] <= h))
+                if u not in screens:
+                    screens[u] = peel_max_coxeter(poly_set(u), degrees(u))[0]
+                if screens[u] != block:
+                    other = SemisimpleType.of(
+                        *(f for f in t.factors if coxeter[f][0] != h), *screens[u])
+                    report.chset_collisions.append((render(other), render(t)))
+                    report.roundtrip_failures.append(f"{render(t)} -> {render(other)}")
+                    break
         except WeylOrdersError as exc:
             report.roundtrip_failures.append(f"{render(t)}: {exc}")
-        else:
-            if got != t:
-                report.chset_collisions.append((render(got), render(t)))
-                report.roundtrip_failures.append(f"{render(t)} -> {render(got)}")
 
+        degs = degrees(t)
         lone = first.setdefault(degs, t)  # a type alone in its degrees needs no key
         if lone is not t:
             first[degs] = None

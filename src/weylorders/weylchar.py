@@ -18,7 +18,7 @@ import math
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,12 +85,6 @@ class CharPolyTable:
 
     def poly_set(self) -> FrozenSet[CycloProduct]:
         return frozenset(self.entries)
-
-    def indices(self) -> FrozenSet[int]:
-        out = set()
-        for poly in self.entries:
-            out.update(poly.indices())
-        return frozenset(out)
 
 
 # --- partitions and classical tables -----------------------------------------
@@ -339,9 +333,10 @@ def seed_table(table: CharPolyTable) -> None:
     cached and seeded tables alike.  It is validated again (its entries may
     have changed since it was built), and by Springer (1974) its largest
     phi_v exponent must be mu_v for exactly the v in ch_star, and one entry
-    alone, with no phi_1, has phi_h, h the Coxeter number.  The registry is
-    write-once: seeding the installed table again does nothing, and seeding
-    a different one raises ValueError."""
+    alone has phi_h, h the Coxeter number: the Coxeter class, whose
+    eigenvalues are z^(d - 1) over the degrees d, z = exp(2 pi i / h).  The
+    registry is write-once: seeding the installed table again does nothing,
+    and seeding a different one raises ValueError."""
     table.validate()
     if len(table.type_label.factors) != 1:
         raise ValueError("only single-factor tables can be seeded")
@@ -349,7 +344,9 @@ def seed_table(table: CharPolyTable) -> None:
     if max_exponents(table.entries) != {v: mu(t, v) for v in ch_star(t)}:
         raise ValueError(f"table of {t} fails the largest-exponent certificate")
     h = coxeter_number(t)
-    if [p.exponent(1) for p in table.entries if p.exponent(h)] != [0]:
+    orders = Counter(h // math.gcd(d - 1, h) for d in degrees(t))
+    coxeter = CycloProduct.from_mapping({d: m // euler_phi(d) for d, m in orders.items()})
+    if [p for p in table.entries if p.exponent(h)] != [coxeter]:
         raise ValueError(f"table of {t} fails the Coxeter-class certificate")
     with _memo_lock:
         if _table_memo.setdefault(t, table) != table:
@@ -367,38 +364,17 @@ def simple_table(t: SimpleType) -> CharPolyTable:
 def charpolys(t: SemisimpleType) -> CharPolyTable:
     """Table for a semisimple type, with counts: the convolution product of
     its factors' tables.  Nothing is kept between calls, since the charpolys
-    command asks for one type per process; sets come from poly_sets."""
+    command asks for one type per process; sets come from poly_set."""
     return CharPolyTable(t, functools.reduce(
         pairwise_products, (simple_table(f).entries for f in t.factors),
         {CycloProduct.one(): 1}))
 
 
-def poly_sets(
-    types: Iterable[SemisimpleType],
-) -> Iterator[Tuple[SemisimpleType, FrozenSet[CycloProduct]]]:
-    """Each type with its set of characteristic polynomials, without counts:
-    the sumset of its factors' sets.
-
-    The sets of the previous type's factor prefixes are kept; the longest
-    prefix shared with it is reused and only the remaining factors are
-    added, so a sweep that adds one factor per type forms one sumset per
-    product type.
-    """
-    path: List[Tuple[SimpleType, FrozenSet[CycloProduct]]] = []
-    for t in types:
-        k = 0
-        while k < min(len(path), len(t.factors)) and path[k][0] == t.factors[k]:
-            k += 1
-        del path[k:]
-        for f in t.factors[k:]:
-            table = simple_table(f)
-            path.append((f, sumset(path[-1][1], table.entries) if path else table.poly_set()))
-        yield t, path[-1][1] if path else frozenset({CycloProduct.one()})
-
-
 def poly_set(t: SemisimpleType) -> FrozenSet[CycloProduct]:
-    """The set of characteristic polynomials of one semisimple type."""
-    return next(poly_sets([t]))[1]
+    """The set of characteristic polynomials of a semisimple type, without
+    counts: the sumset of its factors' sets."""
+    return functools.reduce(sumset, (simple_table(f).entries for f in t.factors),
+                            frozenset({CycloProduct.one()}))
 
 
 # --- invariants ---------------------------------------------------------------

@@ -178,6 +178,9 @@ def test_reconstruct_command(capsys, tmp_path):
     path.write_text(json.dumps(family))
     doc = run_json(capsys, ["reconstruct", "--input", str(path)])
     assert doc["type"] == "B2"
+    # rank 0 is the empty type
+    path.write_text('{"rank": 0, "polys": [{}]}')
+    assert run_json(capsys, ["reconstruct", "--input", str(path)]) == {"rank": 0, "type": "1"}
 
 
 @pytest.mark.parametrize(
@@ -192,6 +195,7 @@ def test_reconstruct_command(capsys, tmp_path):
         '{"rank": "1", "polys": [{"1": 1}, {"2": 1}]}',
         '{"rank": 1, "polys": [{"1": 1}, {"x": 1}]}',
         '{"rank": 1, "polys": [{"1": 1}, {"0": 2}]}',
+        '{"rank": -1, "polys": [{}]}',
     ],
 )
 def test_reconstruct_rejects_malformed_family_file(capsys, tmp_path, doc):

@@ -21,6 +21,7 @@ from weylorders.rootsystem import (
     SimpleType,
     all_semisimple_types,
     coxeter_catalogue,
+    coxeter_number,
     degrees,
     parse_type,
     render,
@@ -28,13 +29,12 @@ from weylorders.rootsystem import (
 )
 from weylorders.weylchar import (
     CharPolyTable,
-    charpolys,
     mu,
     mu_joint,
     mu_prime,
     poly_set,
-    poly_sets,
     profile_parts,
+    simple_table,
 )
 
 
@@ -62,10 +62,10 @@ def test_degrees_from_family_examples():
 
 
 def test_degrees_from_family_reads_back_every_swept_type(e8_table):
-    # the oracle for the sweep, which peels each set from degrees(t) unchecked
+    # the oracle for the sweep, which peels each screened set from its type's degrees unchecked
     checked = 0
-    for t, polys in poly_sets(all_semisimple_types(10, "ABDGFE")):
-        assert degrees_from_family(CharPolyFamily(polys, t.rank)) == degrees(t), t
+    for t in all_semisimple_types(10, "ABDGFE"):
+        assert degrees_from_family(CharPolyFamily(poly_set(t), t.rank)) == degrees(t), t
         checked += 1
     assert checked == 1104
 
@@ -236,37 +236,50 @@ def test_verify_determination_report_shape():
     assert doc["types_checked"] == 5
 
 
-def test_sweep_convolves_once_per_product_type(monkeypatch):
-    # the set analogue of one convolution per product type is one sumset,
-    # and once the simple tables exist no counted table is built; a round
-    # trip that returns its own type builds no set again
-    tables = {t: charpolys(t) for t in all_semisimple_types(8, "ABDGF")}
-    products = [t for t in tables if len(t.factors) > 1]
-    assert len(products) == 329
-    calls = []
-    genuine = weylchar.sumset
+def _screened(t):
+    """The sub-types u_h of t, its factors of Coxeter number <= h, at every
+    level h whose block degrees fit more than one factor multiset."""
+    out = []
+    for h in {coxeter_number(f) for f in t.factors}:
+        block = SemisimpleType(tuple(f for f in t.factors if coxeter_number(f) == h))
+        if len(types_with_degrees(degrees(block))) > 1:
+            out.append(SemisimpleType(tuple(f for f in t.factors if coxeter_number(f) <= h)))
+    return out
 
-    def counted(left, right):
-        calls.append(genuine(left, right))
-        return calls[-1]
+
+def test_sweep_builds_sets_only_for_screens(monkeypatch):
+    # once the simple tables exist, the sweep builds one set for each
+    # sub-type whose top block is ambiguous, and no set and no counted
+    # table for anything else
+    types = list(all_semisimple_types(8, "ABDGF"))
+    for t in types:
+        if len(t.factors) == 1:
+            simple_table(t.factors[0])
+    expected = {u for t in types for u in _screened(t)}
+    assert len(expected) == 12
+    built = []
+
+    def counted(t):
+        built.append(t)
+        return poly_set(t)
 
     def refused(*args):
         raise AssertionError("a counted table was built")
 
-    monkeypatch.setattr(weylchar, "sumset", counted)
+    monkeypatch.setattr(reconstruct_module, "poly_set", counted)
     monkeypatch.setattr(weylchar, "pairwise_products", refused)
     monkeypatch.setattr(CharPolyTable, "validate", refused)
     report = verify_determination(8, alphabet="ABDGF")
     assert report.ok
-    assert report.types_checked == len(tables)
-    assert calls == [tables[t].poly_set() for t in products]
+    assert report.types_checked == len(types)
+    assert len(built) == len(set(built)) and set(built) == expected
 
 
 @pytest.mark.parametrize("expr", ["D4xG2xA1", "B3xB3xA2", "G2xG2xD4"])
 def test_screened_round_trip_builds_its_set_once(monkeypatch, expr):
     # each type has a block that two factor multisets cover, so it is
     # screened; the screen sums the simple tables directly, and only the
-    # certificate builds the type's set, one sumset per factor after the first
+    # certificate builds the type's set, one sumset per factor
     t = parse_type(expr)
     fam = CharPolyFamily(poly_set(t), t.rank)
     calls = []
@@ -277,45 +290,30 @@ def test_screened_round_trip_builds_its_set_once(monkeypatch, expr):
         return genuine(left, right)
 
     monkeypatch.setattr(weylchar, "sumset", counted)
-    assert reconstruct_module._peel_all(fam.polys, degrees(t)) == t
+    polys, degs, factors = fam.polys, degrees(t), []
+    while degs:
+        block, polys, degs = peel_max_coxeter(polys, degs)
+        factors.extend(block)
+    assert SemisimpleType.of(*factors) == t
     assert calls == []
     assert reconstruct(fam) == t
-    assert len(calls) == len(t.factors) - 1
+    assert len(calls) == len(t.factors)
 
 
 def test_collision_check_reports_equal_sets(monkeypatch):
-    # A1xA3 and A2xB2 share their degrees 2, 2, 3, 4 but not their sets
-    a1a3, a2b2 = parse_type("A1xA3"), parse_type("A2xB2")
-    genuine = reconstruct_module.poly_sets
-
-    def forged(types):
-        for t, polys in genuine(types):
-            yield t, poly_set(a1a3) if t == a2b2 else polys
-
-    monkeypatch.setattr(reconstruct_module, "poly_sets", forged)
-    report = verify_determination(4)
-    assert report.chset_collisions == [("A1xA3", "A2xB2")]
-    assert report.roundtrip_failures == ["A2xB2 -> A1xA3"]
-
-
-def test_sweep_certifies_a_foreign_round_trip(monkeypatch):
-    # A2xB2 peels to A1xA3, whose set is not A2xB2's: the certificate refuses it
-    a1a3, a2b2 = parse_type("A1xA3"), parse_type("A2xB2")
-    genuine = reconstruct_module._peel_all
-
-    peels = []
+    # a forged screen that returns B3xB3 for the block D4xG2: each type with
+    # that block is reported against the type with B3xB3 in its place
+    b3, d4, g2 = (parse_type(x).factors[0] for x in ("B3", "D4", "G2"))
+    genuine = reconstruct_module.peel_max_coxeter
 
     def forged(polys, degs):
-        peels.append(degs)
-        got = genuine(polys, degs)
-        return a1a3 if got == a2b2 else got
+        block, residual, left = genuine(polys, degs)
+        return ((b3, b3) if block == (d4, g2) else block), residual, left
 
-    monkeypatch.setattr(reconstruct_module, "_peel_all", forged)
-    report = verify_determination(4)
-    assert len(peels) == report.types_checked  # the foreign round trip is not peeled again
-    assert report.roundtrip_failures == [
-        "A2xB2: family is not the polynomial set of A1xA3 or of any other catalogued type"]
-    assert report.chset_collisions == []
+    monkeypatch.setattr(reconstruct_module, "peel_max_coxeter", forged)
+    report = verify_determination(7, alphabet="ABDG")
+    assert report.chset_collisions == [("A1xB3xB3", "A1xD4xG2"), ("B3xB3", "D4xG2")]
+    assert report.roundtrip_failures == ["A1xD4xG2 -> A1xB3xB3", "D4xG2 -> B3xB3"]
     assert not report.ok
 
 
@@ -407,20 +405,33 @@ def test_malformed_coxeter_entry_raises_on_every_call():
 
 
 def test_round_trip_that_raises_is_reported(monkeypatch):
-    b3g2 = parse_type("B3xG2")
-    genuine = reconstruct_module._peel_all
+    # a forged screen that raises on B3xB3's set: the type is reported with
+    # the message, and the sweep goes on
+    b3b3 = parse_type("B3xB3")
+    genuine = reconstruct_module.peel_max_coxeter
 
     def failing(polys, degs):
-        got = genuine(polys, degs)
-        if got == b3g2:
+        if polys == poly_set(b3b3):
             raise AmbiguousBlock("forged ambiguity")
-        return got
+        return genuine(polys, degs)
 
-    monkeypatch.setattr(reconstruct_module, "_peel_all", failing)
-    report = verify_determination(5, alphabet="ABG")
-    assert report.roundtrip_failures == ["B3xG2: forged ambiguity"]
+    monkeypatch.setattr(reconstruct_module, "peel_max_coxeter", failing)
+    report = verify_determination(7, alphabet="ABDG")
+    assert report.roundtrip_failures == ["B3xB3: forged ambiguity"]
+    assert report.chset_collisions == []
     assert not report.ok
-    assert report.types_checked == len(list(all_semisimple_types(5, "ABG")))
+    assert report.types_checked == len(list(all_semisimple_types(7, "ABDG")))
+
+
+def test_every_type_to_rank_12_round_trips(e8_table):
+    # the exhaustive peel, run on every set through reconstruct, is the
+    # oracle for the sweep's block-by-block induction
+    checked = 0
+    for t in all_semisimple_types(12, "ABDGFE"):
+        assert reconstruct(CharPolyFamily(poly_set(t), t.rank)) == t, t
+        checked += 1
+    assert checked == 3139
+    assert verify_determination(12).ok
 
 
 def _coxeter_polynomial(degs, h):

@@ -30,7 +30,6 @@ from weylorders.weylchar import (
     mu_joint,
     mu_prime,
     poly_set,
-    poly_sets,
     profile_parts,
     seed_table,
 )
@@ -251,14 +250,14 @@ def test_ch_star_examples():
 )
 def test_springer_index_set(t):
     table = charpolys(parse_type(t))
-    assert table.indices() == ch_star(parse_type(t))
+    assert set().union(*(p.indices() for p in table.entries)) == ch_star(parse_type(t))
 
 
 def test_springer_index_set_all_rank5_types():
     from weylorders.rootsystem import all_semisimple_types
 
     for t in all_semisimple_types(5):
-        assert charpolys(t).indices() == ch_star(t)
+        assert set().union(*(p.indices() for p in charpolys(t).entries)) == ch_star(t)
 
 
 def test_mu_examples():
@@ -525,30 +524,8 @@ def test_charpolys_matches_naive_convolution():
 
 
 def test_poly_set_matches_charpolys():
-    requests, swept = _requests(12), []
-    for t, polys in poly_sets(requests):
-        swept.append(t)
-        assert polys == charpolys(t).poly_set()
-    assert swept == requests
-
-
-def test_poly_sets_reuse_prefixes(monkeypatch):
-    # the prefix sets of the previous type are kept: a type forms one sumset
-    # per factor beyond the longest prefix it shares with the one before
-    calls = []
-    genuine = weylchar.sumset
-
-    def counted(left, right):
-        calls.append(None)
-        return genuine(left, right)
-
-    monkeypatch.setattr(weylchar, "sumset", counted)
-    counts = []
-    for t, polys in poly_sets(map(parse_type, ["A1xB2xG2", "A1xB2", "A1xB2xG2"])):
-        counts.append(len(calls))
-        calls.clear()
-        assert polys == charpolys(t).poly_set()
-    assert counts == [2, 0, 1]
+    for t in _requests(12):
+        assert poly_set(t) == charpolys(t).poly_set()
 
 
 def test_concurrent_prefix_path():
@@ -724,6 +701,23 @@ def test_seed_table_refuses_a_table_whose_coxeter_class_has_phi_1(monkeypatch, m
     forged = CharPolyTable(SemisimpleType.of(b3), {p: c for p, c in entries.items() if c})
     assert max_exponents(forged.entries) == max_exponents(genuine)
     with pytest.raises(ValueError, match="table of B3 fails the Coxeter-class certificate"):
+        seed_table(forged)
+    assert weylchar._table_memo == {}
+
+
+def test_seed_table_refuses_a_coxeter_class_of_the_wrong_polynomial(monkeypatch):
+    # B6's Coxeter class phi_4 phi_12 counted under phi_3 phi_12, E6's Coxeter
+    # polynomial: one entry alone has phi_12 and no phi_1, and validate() and
+    # the largest exponents still pass, but the block it gives is E6's
+    monkeypatch.setattr(weylchar, "_table_memo", {})
+    b6 = SimpleType("B", 6)
+    genuine = charpolys_classical(b6).entries
+    entries = dict(genuine)
+    entries[cp(d3=1, d12=1)] = entries.pop(cp(d4=1, d12=1))
+    forged = CharPolyTable(SemisimpleType.of(b6), entries)
+    assert max_exponents(forged.entries) == max_exponents(genuine)
+    assert [p.exponent(1) for p in forged.entries if p.exponent(12)] == [0]
+    with pytest.raises(ValueError, match="table of B6 fails the Coxeter-class certificate"):
         seed_table(forged)
     assert weylchar._table_memo == {}
 
