@@ -17,10 +17,6 @@ class NotAWeylFamily(WeylOrdersError):
     """A polynomial family is inconsistent with being ch(W) for any Weyl group."""
 
 
-class AmbiguousBlock(WeylOrdersError):
-    """Block identification found more than one consistent factor multiset."""
-
-
 class NotCoincident(WeylOrdersError):
     """The two types do not have equal degree multisets."""
 

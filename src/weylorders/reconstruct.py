@@ -6,6 +6,10 @@ the unique entry with maximal fixed space among those with the full phi_h^b;
 its eigenvalue exponents give the block degrees, which the block takes off
 the multiset, and the residual set is the exact quotient: the set of the rest
 of the group (Springer 1974), whose degrees are the ones left.
+
+Only h = 6 has blocks whose degrees fit several factor multisets; there the
+peel reads off the set how many block factors have a Coxeter entry without
+phi_2, which tells the covers apart (argued in verify_determination).
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .cyclotomic import CycloProduct, max_exponents, sumset
-from .errors import AmbiguousBlock, NotAWeylFamily, WeylOrdersError
+from .cyclotomic import CycloProduct, max_exponents
+from .errors import NotAWeylFamily, WeylOrdersError
 from .rootsystem import (
     SemisimpleType,
     SimpleType,
@@ -82,13 +86,6 @@ def degrees_from_family(fam: CharPolyFamily) -> Tuple[int, ...]:
     return out
 
 
-def _predicted_family(
-    factors: Tuple[SimpleType, ...], residual: FrozenSet[CycloProduct]
-) -> FrozenSet[CycloProduct]:
-    """The sumset of the block's simple sets, then of that with the residual."""
-    return functools.reduce(sumset, [*(simple_table(f).entries for f in factors), residual])
-
-
 @functools.cache
 def _block_facts(f: CycloProduct, h: int) -> Tuple[Tuple[int, ...], Tuple[Tuple, ...]]:
     """The degrees of the block with Coxeter polynomial f and Coxeter number
@@ -112,16 +109,33 @@ def _block_facts(f: CycloProduct, h: int) -> Tuple[Tuple[int, ...], Tuple[Tuple,
     return block_degrees, covers
 
 
+def _coxeter_entry(f: SimpleType) -> CycloProduct:
+    """f's Coxeter polynomial: by the gate, its table's one entry with phi_h."""
+    h = coxeter_number(f)
+    return next(p for p in simple_table(f).entries if p.exponent(h))
+
+
+def _cover(covers: Tuple[Tuple[SimpleType, ...], ...], g: int) -> Tuple[SimpleType, ...]:
+    """The one cover with g factors whose Coxeter entries have no phi_2."""
+    kept = [c for c in covers if sum(not _coxeter_entry(f).exponent(2) for f in c) == g]
+    if len(kept) != 1:
+        names = ", ".join(render(SemisimpleType(c)) for c in covers)
+        raise NotAWeylFamily(
+            f"{len(kept)} of the covers {names} have {g} Coxeter entries without phi_2")
+    return kept[0]
+
+
 def peel_max_coxeter(
     polys: FrozenSet[CycloProduct], degs: Tuple[int, ...]
 ) -> Tuple[Tuple[SimpleType, ...], FrozenSet[CycloProduct], Tuple[int, ...]]:
     """Split off the factors of maximal Coxeter number h = degs[-1]; returns
     them, the residual set and the degrees left.
 
-    When the block degrees admit more than one factor multiset, the
-    candidates are screened against the full set, which determines the
-    block uniquely.  Only h = 6 has such blocks (B3xB3 and D4xG2 share their
-    degrees); every block of at most four factors with h <= 60 was checked.
+    When the block degrees fit several factor multisets (only at h = 6, for
+    blocks of at most four factors with h <= 60), the block is the cover with g
+    factors whose Coxeter entry lacks phi_2, g the largest phi_h exponent over
+    the entries with no phi_2: only G2's entry lacks it, and covers differ by
+    swaps of B3xB3 for D4xG2, so no two share g.
     """
     if not degs:
         raise NotAWeylFamily("cannot peel a rank-0 family")
@@ -149,11 +163,8 @@ def peel_max_coxeter(
         raise NotAWeylFamily(f"family is not divisible by its Coxeter entry: {exc}")
 
     if len(covers) > 1:
-        covers = [c for c in covers if _predicted_family(c, residual) == polys]
-        if not covers:
-            raise NotAWeylFamily("no candidate block is consistent with the family")
-        if len(covers) > 1:
-            raise AmbiguousBlock(f"blocks {covers} all reproduce the family")
+        g = max((p.exponent(h) for p in polys if not p.exponent(2)), default=0)
+        covers = [_cover(covers, g)]
     return covers[0], residual, tuple(sorted(rest.elements()))
 
 
@@ -210,29 +221,24 @@ def verify_determination(
     Coxeter entries.  By L1 cox(B) has no phi_1, so the starred entry is
     cox(B) * phi_1^(rank rest), unique as only the identity of the rest has
     phi_1^(rank rest); the residual is set(rest), with degrees(rest) left.
-    So the peel at level h sees the set and the degrees of u_h, the factors
-    of Coxeter number <= h, and _block_facts(cox(B_h), h) lists B_h.  t
-    round-trips if and only if, at every level h where it lists more than
-    one cover (only h = 6 has such), the peel of set(u_h) returns B_h; no
-    set is built for any other level.
-
-    Levels are walked from the top down to the first failure, as the peel
-    goes, and each screen is kept per u_h for the call (one that raises is
-    not kept).  A screen that raises reports "t: message"; one that returns
-    another block c reports the collision (t', t) and "t -> t'", t' being t
-    with c in place of B_h, since then set(c x rest) = set(u_h), so set(t')
-    = set(t).
+    So the peel at level h sees the set and the degrees of u_h, the factors of
+    Coxeter number <= h, and _block_facts(cox(B_h), h) lists B_h.  Where it
+    lists several covers (only h = 6), the peel keeps those with g Coxeter
+    entries without phi_2, g the largest phi_h exponent over set(u_h)'s entries
+    with no phi_2.  Such an entry has one part per factor, none with phi_2; by
+    L2 only B_h's factors have phi_h, by L1 in the Coxeter entry alone, and the
+    Coxeter class at each counted factor with the identity elsewhere reaches
+    B_h's count.  A choice that raises reports "t: message"; one that returns
+    another cover c reports "t -> t'" and the collision (t', t), t' being t
+    with c in place of B_h.  Levels are walked from the top down to the first
+    failure, as the peel goes; no set is built.
     Profiles are compared by profile_parts, once a second type of the same
     degrees comes, and filed under the degrees and a hash, so memory grows
     with the number of types; types filed under one hash are compared exactly.
     """
     alphabet = "".join(sorted(set(alphabet)))
     report = DeterminationReport(rank_bound, alphabet)
-    coxeter: Dict[SimpleType, Tuple[int, CycloProduct]] = {}  # h_f and f's Coxeter entry
-    for f in simple_types(rank_bound, alphabet):
-        h = coxeter_number(f)
-        coxeter[f] = h, next(p for p in simple_table(f).entries if p.exponent(h))
-    screens: Dict[SemisimpleType, Tuple[SimpleType, ...]] = {}
+    coxeter = {f: (coxeter_number(f), _coxeter_entry(f)) for f in simple_types(rank_bound, alphabet)}
     first: Dict[Tuple[int, ...], Optional[SemisimpleType]] = {}
     filed: Dict[Tuple, List[SemisimpleType]] = {}
     for t in all_semisimple_types(rank_bound, alphabet):
@@ -241,14 +247,11 @@ def verify_determination(
             for h in sorted({coxeter[f][0] for f in t.factors}, reverse=True):
                 block = tuple(f for f in t.factors if coxeter[f][0] == h)
                 cox = math.prod((coxeter[f][1] for f in block), start=CycloProduct.one())
-                if len(_block_facts(cox, h)[1]) == 1:
-                    continue
-                u = SemisimpleType.of(*(f for f in t.factors if coxeter[f][0] <= h))
-                if u not in screens:
-                    screens[u] = peel_max_coxeter(poly_set(u), degrees(u))[0]
-                if screens[u] != block:
-                    other = SemisimpleType.of(
-                        *(f for f in t.factors if coxeter[f][0] != h), *screens[u])
+                covers = _block_facts(cox, h)[1]  # one cover is the block itself
+                cover = covers[0] if len(covers) == 1 else _cover(
+                    covers, sum(not coxeter[f][1].exponent(2) for f in block))
+                if cover != block:
+                    other = SemisimpleType.of(*(f for f in t.factors if coxeter[f][0] != h), *cover)
                     report.chset_collisions.append((render(other), render(t)))
                     report.roundtrip_failures.append(f"{render(t)} -> {render(other)}")
                     break

@@ -8,7 +8,7 @@ import pytest
 from weylorders import reconstruct as reconstruct_module
 from weylorders import weylchar
 from weylorders.cyclotomic import CycloProduct, euler_phi
-from weylorders.errors import AmbiguousBlock, NotAWeylFamily, TypeParseError
+from weylorders.errors import NotAWeylFamily, TypeParseError
 from weylorders.reconstruct import (
     CharPolyFamily,
     degrees_from_family,
@@ -21,7 +21,6 @@ from weylorders.rootsystem import (
     SimpleType,
     all_semisimple_types,
     coxeter_catalogue,
-    coxeter_number,
     degrees,
     parse_type,
     render,
@@ -62,7 +61,8 @@ def test_degrees_from_family_examples():
 
 
 def test_degrees_from_family_reads_back_every_swept_type(e8_table):
-    # the oracle for the sweep, which peels each screened set from its type's degrees unchecked
+    # the oracle for the sweep's induction, which takes the degrees a peel reads off a set
+    # to be its type's own
     checked = 0
     for t in all_semisimple_types(10, "ABDGFE"):
         assert degrees_from_family(CharPolyFamily(poly_set(t), t.rank)) == degrees(t), t
@@ -127,8 +127,8 @@ def test_peel_b3_b3():
 
 
 def test_peel_disambiguates_block_with_same_degrees():
-    # B3xB3 and D4xG2 share degrees and even the Coxeter polynomial; only
-    # the full family separates them.
+    # B3xB3 and D4xG2 share degrees and even the Coxeter polynomial; the
+    # count of Coxeter entries without phi_2 (G2's) separates them.
     block, _, _ = peel_of("D4xG2")
     assert block == (SimpleType("D", 4), SimpleType("G", 2))
 
@@ -236,50 +236,31 @@ def test_verify_determination_report_shape():
     assert doc["types_checked"] == 5
 
 
-def _screened(t):
-    """The sub-types u_h of t, its factors of Coxeter number <= h, at every
-    level h whose block degrees fit more than one factor multiset."""
-    out = []
-    for h in {coxeter_number(f) for f in t.factors}:
-        block = SemisimpleType(tuple(f for f in t.factors if coxeter_number(f) == h))
-        if len(types_with_degrees(degrees(block))) > 1:
-            out.append(SemisimpleType(tuple(f for f in t.factors if coxeter_number(f) <= h)))
-    return out
-
-
-def test_sweep_builds_sets_only_for_screens(monkeypatch):
-    # once the simple tables exist, the sweep builds one set for each
-    # sub-type whose top block is ambiguous, and no set and no counted
-    # table for anything else
+def test_sweep_builds_no_set(monkeypatch):
+    # once the simple tables exist, the sweep decides every block from the
+    # Coxeter entries of its factors: no set, no peel and no counted table
     types = list(all_semisimple_types(8, "ABDGF"))
     for t in types:
         if len(t.factors) == 1:
             simple_table(t.factors[0])
-    expected = {u for t in types for u in _screened(t)}
-    assert len(expected) == 12
-    built = []
-
-    def counted(t):
-        built.append(t)
-        return poly_set(t)
 
     def refused(*args):
-        raise AssertionError("a counted table was built")
+        raise AssertionError("the sweep built a set or a counted table")
 
-    monkeypatch.setattr(reconstruct_module, "poly_set", counted)
+    monkeypatch.setattr(reconstruct_module, "poly_set", refused)
+    monkeypatch.setattr(reconstruct_module, "peel_max_coxeter", refused)
     monkeypatch.setattr(weylchar, "pairwise_products", refused)
     monkeypatch.setattr(CharPolyTable, "validate", refused)
     report = verify_determination(8, alphabet="ABDGF")
     assert report.ok
     assert report.types_checked == len(types)
-    assert len(built) == len(set(built)) and set(built) == expected
 
 
 @pytest.mark.parametrize("expr", ["D4xG2xA1", "B3xB3xA2", "G2xG2xD4"])
 def test_screened_round_trip_builds_its_set_once(monkeypatch, expr):
-    # each type has a block that two factor multisets cover, so it is
-    # screened; the screen sums the simple tables directly, and only the
-    # certificate builds the type's set, one sumset per factor
+    # each type has a block that two factor multisets cover; the peel picks
+    # one by its count of Coxeter entries without phi_2, with no sumset, and
+    # only the certificate builds the type's set, one sumset per factor
     t = parse_type(expr)
     fam = CharPolyFamily(poly_set(t), t.rank)
     calls = []
@@ -300,20 +281,28 @@ def test_screened_round_trip_builds_its_set_once(monkeypatch, expr):
     assert len(calls) == len(t.factors)
 
 
+def _forged_block_facts(monkeypatch, covers):
+    """_block_facts with forged covers for phi_2^2 phi_6^2, the Coxeter polynomial of
+    both B3xB3 and D4xG2."""
+    genuine = reconstruct_module._block_facts
+    shared = genuine(CycloProduct.from_mapping({2: 2, 6: 2}), 6)
+
+    def forged(f, h):
+        got = genuine(f, h)
+        return (got[0], covers) if got == shared else got
+
+    monkeypatch.setattr(reconstruct_module, "_block_facts", forged)
+
+
 def test_collision_check_reports_equal_sets(monkeypatch):
-    # a forged screen that returns B3xB3 for the block D4xG2: each type with
-    # that block is reported against the type with B3xB3 in its place
-    b3, d4, g2 = (parse_type(x).factors[0] for x in ("B3", "D4", "G2"))
-    genuine = reconstruct_module.peel_max_coxeter
-
-    def forged(polys, degs):
-        block, residual, left = genuine(polys, degs)
-        return ((b3, b3) if block == (d4, g2) else block), residual, left
-
-    monkeypatch.setattr(reconstruct_module, "peel_max_coxeter", forged)
+    # forged covers that drop D4xG2 and list B3xG2 with its one G2: the count
+    # picks B3xG2 for the block D4xG2, and each type with that block is
+    # reported against the type with B3xG2 in its place
+    b3, g2 = parse_type("B3").factors[0], parse_type("G2").factors[0]
+    _forged_block_facts(monkeypatch, ((b3, b3), (b3, g2)))
     report = verify_determination(7, alphabet="ABDG")
-    assert report.chset_collisions == [("A1xB3xB3", "A1xD4xG2"), ("B3xB3", "D4xG2")]
-    assert report.roundtrip_failures == ["A1xD4xG2 -> A1xB3xB3", "D4xG2 -> B3xB3"]
+    assert report.chset_collisions == [("A1xB3xG2", "A1xD4xG2"), ("B3xG2", "D4xG2")]
+    assert report.roundtrip_failures == ["A1xD4xG2 -> A1xB3xG2", "D4xG2 -> B3xG2"]
     assert not report.ok
 
 
@@ -405,19 +394,14 @@ def test_malformed_coxeter_entry_raises_on_every_call():
 
 
 def test_round_trip_that_raises_is_reported(monkeypatch):
-    # a forged screen that raises on B3xB3's set: the type is reported with
+    # forged covers that add D4xD4 beside B3xB3, both with no G2: the count
+    # cannot choose for the block B3xB3, each type with it is reported with
     # the message, and the sweep goes on
-    b3b3 = parse_type("B3xB3")
-    genuine = reconstruct_module.peel_max_coxeter
-
-    def failing(polys, degs):
-        if polys == poly_set(b3b3):
-            raise AmbiguousBlock("forged ambiguity")
-        return genuine(polys, degs)
-
-    monkeypatch.setattr(reconstruct_module, "peel_max_coxeter", failing)
+    b3, d4, g2 = (parse_type(x).factors[0] for x in ("B3", "D4", "G2"))
+    _forged_block_facts(monkeypatch, ((b3, b3), (d4, d4), (d4, g2)))
     report = verify_determination(7, alphabet="ABDG")
-    assert report.roundtrip_failures == ["B3xB3: forged ambiguity"]
+    message = "2 of the covers B3xB3, D4xD4, D4xG2 have 0 Coxeter entries without phi_2"
+    assert report.roundtrip_failures == [f"A1xB3xB3: {message}", f"B3xB3: {message}"]
     assert report.chset_collisions == []
     assert not report.ok
     assert report.types_checked == len(list(all_semisimple_types(7, "ABDG")))
@@ -475,11 +459,28 @@ def test_only_coxeter_number_6_has_ambiguous_blocks():
     assert blocks == 1282
     assert len(ambiguous) == 14
     for covers in ambiguous:
+        counts = [sum(not reconstruct_module._coxeter_entry(f).exponent(2) for f in u.factors)
+                  for u in covers]
+        assert len(set(counts)) == len(counts), covers
         for u, v in itertools.combinations(covers, 2):
             diff = Counter(u.factors)
             diff.subtract(v.factors)
             n = diff[d4]
             assert n and {f: c for f, c in diff.items() if c} == {b3: -2 * n, d4: n, g2: n}
+
+
+def test_only_g2_has_a_coxeter_entry_without_phi_2_at_coxeter_number_6():
+    # the premise of the count that decides ambiguous blocks, read off the
+    # gated tables: each has one entry with phi_6, and only G2's lacks phi_2
+    catalogue = coxeter_catalogue(6)
+    assert [render(SemisimpleType((f,))) for f in catalogue] == ["A5", "B3", "D4", "G2"]
+    free = []
+    for f in catalogue:
+        (entry,) = [p for p in simple_table(f).entries if p.exponent(6)]
+        assert reconstruct_module._coxeter_entry(f) == entry
+        if not entry.exponent(2):
+            free.append(render(SemisimpleType((f,))))
+    assert free == ["G2"]
 
 
 def test_block_covers_of_any_polynomial_of_divisors_of_h():
