@@ -17,7 +17,7 @@ element is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -56,16 +56,40 @@ __all__ = [
     "e0_basis",
 ]
 
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
+
 class Fp:
-    """An element of a prime field."""
+    """An element of a prime field, immutable like a frozen dataclass.
 
-    value: int
-    p: int
+    A plain slotted class: coordinates are built by the thousand, and the
+    constructor stores the reduced value once."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
+    __slots__ = ("value", "p")
+
+    def __init__(self, value: int, p: int):
+        _setattr(self, "value", value % p)
+        _setattr(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Fp, (self.value, self.p)
+
+    def __repr__(self):
+        return f"Fp(value={self.value!r}, p={self.p!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Fp:
+            return NotImplemented
+        return self.value == other.value and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.value, self.p))
 
     def _coerce(self, other) -> "Fp":
         if isinstance(other, Fp):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import weylorders
 from weylorders import weylchar
 from weylorders.cli import cache_load, cache_store, run
 from weylorders.cyclotomic import CycloProduct
@@ -17,6 +21,50 @@ def run_json(capsys, argv, expect=0):
     out = capsys.readouterr().out
     assert code == expect, out
     return json.loads(out) if out.strip() else None
+
+
+# Runs in a fresh interpreter: imports the CLI, then runs each argv of
+# sys.argv[1] in-process and prints, as JSON, the freeze count after the
+# import, the count after each command, how often gc.freeze was called, and
+# each command's stdout, stderr and exit code.
+_FREEZE_CHILD = """
+import contextlib, gc, io, json, sys
+import weylorders.cli
+counts = [gc.get_freeze_count()]
+calls = []
+freeze = gc.freeze
+gc.freeze = lambda: (calls.append(1), freeze())[-1]
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = weylorders.cli.run(argv)
+    counts.append(gc.get_freeze_count())
+    outputs.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps({"counts": counts, "freeze_calls": len(calls), "outputs": outputs}))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(weylorders.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    return [proc.stdout, proc.stderr, proc.returncode]
+
+
+def test_run_freezes_the_start_heap_once_and_matches_the_entry_point():
+    commands = [["order", "--type", "A1", "--q", "2"], ["charpolys", "--type", "G2"],
+                ["order", "--type", "D3", "--q", "2"]]
+    out, err, code = _python("-c", _FREEZE_CHILD, json.dumps(commands))
+    assert code == 0, err
+    doc = json.loads(out)
+    counts = doc["counts"]
+    assert counts[0] == 0  # importing the CLI freezes nothing
+    assert counts[1] > 0  # the first command froze the heap it started with
+    assert doc["freeze_calls"] == 1  # and later commands did not freeze again
+    assert [o[2] for o in doc["outputs"]] == [0, 0, 2]
+    for argv, in_process in zip(commands, doc["outputs"]):
+        assert _python("-m", "weylorders.cli", *argv) == in_process, argv
 
 
 def test_order_command(capsys):

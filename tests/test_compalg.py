@@ -1,4 +1,6 @@
+import copy
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -53,6 +55,19 @@ def test_prime_field_arithmetic():
         a / f.zero
     with pytest.raises(FieldMismatch):
         a + Fp(1, 11)
+
+
+def test_fp_is_a_reduced_immutable_value():
+    assert len({Fp(3, 7), Fp(10, 7)}) == 1
+    assert Fp(3, 7) != Fp(3, 11) and Fp(3, 7) != 3
+    assert repr(Fp(10, 7)) == "Fp(value=3, p=7)"
+    assert copy.deepcopy(Fp(10, 7)) == Fp(3, 7)
+    a = Fp(3, 7)
+    with pytest.raises(FrozenInstanceError):
+        a.value = 4
+    with pytest.raises(FrozenInstanceError):
+        del a.p
+    assert a == Fp(3, 7)
 
 
 def test_scalar_divided_by_fp_is_coerced():
