@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import random
-import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -181,10 +180,11 @@ def generator(gid: str) -> CoincidencePair:
     if gid in _EXCEPTIONAL_GENERATORS:
         left, right = _EXCEPTIONAL_GENERATORS[gid]
     else:
-        m = re.fullmatch(r"([BD])([0-9]+)", gid)
-        if m is None:
+        kind, digits = gid[:1], gid[1:]
+        # isdigit alone also passes non-ASCII digits, Arabic-Indic or superscript
+        if kind not in _FAMILIES or not (digits.isascii() and digits.isdigit()):
             raise TypeParseError(f"unknown generator id {gid!r}")
-        kind, n = m.group(1), int(m.group(2))
+        n = int(digits)
         first, family = _FAMILIES[kind]
         if n < first:
             raise TypeParseError(f"{kind}-family generators start at rank {first}")
@@ -197,11 +197,16 @@ def evaluate_word(word: GeneratorWord) -> CoincidencePair:
     degrees, and cancelling common factors commutes with taking the union,
     so the sides of all letters are summed and reduced once."""
     left, right = Counter(), Counter()
+    _add_sides(left, right, word)
+    return reduce(*(SemisimpleType(tuple(c.elements())) for c in (left, right)))
+
+
+def _add_sides(left: Counter, right: Counter, word: GeneratorWord) -> None:
+    """Add each letter's two sides, unreduced, to the left and right multisets."""
     for gid, sign in word:
         g = generator(gid)
         left.update((g.left if sign > 0 else g.right).factors)
         right.update((g.right if sign > 0 else g.left).factors)
-    return reduce(*(SemisimpleType(tuple(c.elements())) for c in (left, right)))
 
 
 # --- decomposition into generators ---------------------------------------------
@@ -232,8 +237,11 @@ def decompose(p: CoincidencePair) -> GeneratorWord:
     """Express a coincidence pair as a word in the seven generator families.
 
     Repeatedly cancels one factor of the current highest fundamental degree
-    from each side with the peeling word read off the generator families;
-    evaluation of the returned word reproduces the input exactly.
+    from each side with the peeling word read off the generator families.
+    The sides are kept as multisets: each peel adds its letters' sides to
+    them and cancels once, which is reducing by the peel's value (see
+    evaluate_word).  Evaluation of the returned word reproduces the input
+    exactly.
     """
     word: List[Tuple[str, int]] = []
     left, right = p.left.counter(), p.right.counter()
@@ -256,9 +264,7 @@ def decompose(p: CoincidencePair) -> GeneratorWord:
         if not word and degrees(p.left) != degrees(p.right):  # later steps keep them equal
             raise NotCoincident(f"degree multisets differ: {p}")
         peel = _peeling_word(min(lefts), min(rights))
-        value = evaluate_word(peel)  # composed inverted: its sides add crosswise
-        left.update(value.right.factors)
-        right.update(value.left.factors)
+        _add_sides(right, left, peel)  # composed inverted: its sides add crosswise
         left, right = left - right, right - left
         word.extend(peel)
     if evaluate_word(tuple(word)) != p:

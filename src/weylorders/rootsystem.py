@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Tuple
 
@@ -46,17 +47,24 @@ _RANK_RULES = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
-    """A classification label: letter and rank."""
+class SimpleType(namedtuple("SimpleType", "letter rank")):
+    """A classification label: letter and rank.
 
-    letter: str
-    rank: int
+    A tuple, so hashing, equality and the (letter, rank) order run in C, and
+    the fields are read by C getters; the constructor validates.
+    """
 
-    def __post_init__(self):
-        rule = _RANK_RULES.get(self.letter)
-        if rule is None or not rule(self.rank):
-            raise TypeParseError(f"invalid simple type {self.letter}{self.rank}")
+    __slots__ = ()
+
+    def __new__(cls, letter: str, rank: int) -> "SimpleType":
+        rule = _RANK_RULES.get(letter)
+        if rule is None or not rule(rank):
+            raise TypeParseError(f"invalid simple type {letter}{rank}")
+        return tuple.__new__(cls, (letter, rank))
+
+    @classmethod
+    def _make(cls, iterable) -> "SimpleType":  # _replace builds through it: validate too
+        return cls(*iterable)
 
     def canonical(self) -> "SimpleType":
         """B/C identification: C_n is stored as B_n."""
@@ -67,6 +75,8 @@ class SimpleType:
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
 
+
+_LETTER = operator.attrgetter("letter")
 
 # The exceptional simple types, whose tables are enumerated (weylchar): their
 # fundamental degrees and the node of table_parabolic.
@@ -107,7 +117,10 @@ class SemisimpleType:
         return SemisimpleType(factors)
 
     def __post_init__(self):
-        canon = tuple(sorted(f.canonical() for f in self.factors))
+        factors = self.factors
+        if "C" in map(_LETTER, factors):
+            factors = [f.canonical() for f in factors]
+        canon = tuple(sorted(factors))
         if canon != self.factors:
             object.__setattr__(self, "factors", canon)
 

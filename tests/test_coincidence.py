@@ -92,6 +92,15 @@ def test_generator_bad_ids():
             generator(bad)
 
 
+def test_generator_ids_parse_as_the_family_regex_did():
+    # the ids ([BD])([0-9]+) accepted: ASCII digits only, leading zeros allowed
+    assert generator("B2") == pair("A2xB2", "A3xA1")
+    assert generator("B05") == generator("B5")
+    for bad in ("B", "D", "b5", "B5 ", " B5", "BD5", "B-3", "E9", "B\u0663", "B\u00b2"):
+        with pytest.raises(TypeParseError):
+            generator(bad)
+
+
 def test_enumerate_two_factor_bounds():
     assert enumerate_two_factor_pairs(3) == []
     found4 = {str(p) for p in enumerate_two_factor_pairs(4)}
@@ -196,6 +205,36 @@ def test_decompose_rejects_an_unbalanced_pair():
 def test_decompose_round_trip_on_enumerated_pairs():
     for p in enumerate_two_factor_pairs(40):
         assert evaluate_word(decompose(p)) == p
+
+
+def _decompose_by_reduced_peels(p):
+    """Decomposition evaluating each peeling word to a reduced pair, as the
+    counter peel in decompose replaces."""
+    word = []
+    left, right = p.left.counter(), p.right.counter()
+    while left or right:
+        h = max(coxeter_number(f) for f in (*left, *right))
+        peel = coincidence._peeling_word(
+            min(f for f in left if coxeter_number(f) == h),
+            min(f for f in right if coxeter_number(f) == h))
+        value = evaluate_word(peel)
+        left.update(value.right.factors)
+        right.update(value.left.factors)
+        left, right = left - right, right - left
+        word.extend(peel)
+    return tuple(word)
+
+
+def test_counter_peel_matches_the_reduced_peel_oracle():
+    rng = random.Random(28)
+    ids = [f"B{n}" for n in range(2, 20)] + [f"D{n}" for n in range(4, 24)] + [
+        "G2", "F4", "E6", "E7", "E8"]
+    for _ in range(250):
+        word = tuple((rng.choice(ids), rng.choice((1, -1))) for _ in range(rng.randint(1, 8)))
+        p = evaluate_word(word)
+        got = decompose(p)
+        assert got == _decompose_by_reduced_peels(p), word
+        assert evaluate_word(got) == p, word
 
 
 def test_decompose_random_words():

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import random
 
 import pytest
 
@@ -158,6 +161,26 @@ def test_coxeter_number_is_the_largest_degree():
 def test_canonicalization_merges_bc():
     assert SemisimpleType.of(SimpleType("C", 4)) == SemisimpleType.of(SimpleType("B", 4))
     assert SimpleType("C", 5).canonical() == SimpleType("B", 5)
+
+
+def test_simple_type_is_an_immutable_validated_tuple():
+    assert hash(SimpleType("B", 3)) == hash(("B", 3))
+    types = simple_types(12)
+    shuffled = random.Random(3).sample(types, len(types))
+    assert sorted(shuffled) == sorted(shuffled, key=lambda t: (t.letter, t.rank)) == types
+    assert repr(SimpleType("A", 1)) == "SimpleType(letter='A', rank=1)"
+    t = SimpleType("E", 7)
+    with pytest.raises(AttributeError):
+        t.rank = 8
+    for copied in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert copied == t and type(copied) is SimpleType
+    for letter, rank in (("A", 0), ("B", 1), ("D", 3), ("E", 9), ("H", 3), ("a", 2)):
+        with pytest.raises(TypeParseError):
+            SimpleType(letter, rank)
+    with pytest.raises(TypeParseError):
+        t._replace(rank=9)
+    ss = SemisimpleType.of(SimpleType("C", 3), SimpleType("A", 1), SimpleType("B", 2))
+    assert ss.factors == (SimpleType("A", 1), SimpleType("B", 2), SimpleType("B", 3))
 
 
 def test_empty_type():
